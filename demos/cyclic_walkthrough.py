@@ -12,7 +12,7 @@ from embtypes import canonical, complement, flatten, from_pairs, pairs_of, resha
 v = (3, 2, 1, 0, 0, 4, 2)
 cls = canonical(v)
 print("vector     ", v)
-print("canonical  ", cls.vector, "  (reached by rotating left", cls.shift, "places)")
+print("canonical  ", cls.vector)
 
 # The pairs form lists (value, gap to the next nonzero) around the cycle.
 p = pairs_of(v)
@@ -31,4 +31,4 @@ print("and back   ", complement(c.vector).vector)
 rows = ((1, 0), (1, 3), (0, 0), (0, 1), (0, 1), (0, 0))
 flat = flatten(rows)
 print("flattening ", flat)
-print("reshaped   ", reshape(flat, 6, 2).rows)
+print("reshaped   ", reshape(flat, 6, 2))

@@ -30,8 +30,6 @@ from .apartment import (
     normalize_exponents,
     order_of_chain,
     oriented_edge,
-    point_from_json,
-    point_to_json,
     square_lattice_exponents,
     standard_chain,
     translate,
@@ -49,7 +47,6 @@ from .correspondence import (
     verify_correspondence,
 )
 from .cyclic import (
-    CycMatrix,
     CyclicClass,
     PairsForm,
     canonical,
@@ -58,7 +55,6 @@ from .cyclic import (
     flatten,
     from_pairs,
     make_matrix,
-    matrices_equal,
     pairs_of,
     reshape,
     rotate,
@@ -72,7 +68,6 @@ from .embedding import (
     make_datum,
     rank_reduce,
     skeleton,
-    unramified_degree,
 )
 from .enumeration import count_data, enumerate_data
 

@@ -284,8 +284,14 @@ class LocalType:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(e, self.denominator) for e in self.entries)
+
+def _least_terms(ints: Sequence[int], den: int) -> LocalType:
+    """Local type of integer entries over den, reduced to least terms.
+
+    The entries sum to den, so their gcd divides den as well.
+    """
+    g = gcd(*ints)
+    return LocalType(canonical([x // g for x in ints]).vector, den // g)
 
 
 def gap_class(values: Sequence[Rational]) -> LocalType:
@@ -303,11 +309,7 @@ def gap_class(values: Sequence[Rational]) -> LocalType:
     b = sorted(((v.numerator * (den // v.denominator)) % den for v in vals), reverse=True)
     gaps = [den - b[0] + b[-1]]
     gaps.extend(b[k - 1] - b[k] for k in range(1, len(b)))
-    g = 0
-    for x in gaps:
-        g = gcd(g, x)
-    # the gaps sum to den, so g divides den as well
-    return LocalType(canonical([x // g for x in gaps]).vector, den // g)
+    return _least_terms(gaps, den)
 
 
 def coordinate_class(values: Sequence[Rational]) -> LocalType:
@@ -320,27 +322,10 @@ def coordinate_class(values: Sequence[Rational]) -> LocalType:
     if not vals or any(v < 0 for v in vals) or sum(vals) != 1:
         raise ValueError("coordinates must be non-negative and sum to 1")
     den = lcm(*[v.denominator for v in vals])
-    ints = [int(v * den) for v in vals]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return LocalType(canonical([x // g for x in ints]).vector, den // g)
+    return _least_terms([int(v * den) for v in vals], den)
 
 
 def local_type(x: ApartmentPoint) -> LocalType:
     """Local type of the point: the gap class of d * alpha."""
     return gap_class([x.context.d * a for a in x.alpha])
 
-
-def point_to_json(x: ApartmentPoint) -> dict:
-    """Wire form {m, d, alpha: [[num, den], ...]}."""
-    return {
-        "m": x.context.m,
-        "d": x.context.d,
-        "alpha": [[a.numerator, a.denominator] for a in x.alpha],
-    }
-
-
-def point_from_json(obj: dict) -> ApartmentPoint:
-    ctx = ApartmentContext(int(obj["m"]), int(obj["d"]))
-    return make_point(ctx, [Fraction(int(n), int(d)) for n, d in obj["alpha"]])

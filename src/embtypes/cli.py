@@ -1,7 +1,7 @@
 """Command line front end: JSON on standard streams, deterministic output.
 
 Exit codes: 0 on success, 1 when a verification sweep finds a failing
-datum, 2 on malformed input.
+datum, 2 on malformed input or an unwritable report path.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .correspondence import (
     report_to_json,
     verify_correspondence,
 )
-from .cyclic import canonical, complement, flatten, pairs_of
+from .cyclic import canonical, complement, flatten, make_matrix, pairs_of
 from .embedding import datum_from_json, datum_to_json, make_datum
 from .enumeration import count_data, enumerate_data
 
@@ -65,6 +65,9 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     written to a JSON file as well.
     """
     out = stream or sys.stdout
+    if report_path is not None:
+        # fail on an unwritable path now rather than after the whole sweep
+        open(report_path, "a", encoding="utf-8").close()
     configs = []
     failures = []
     total = 0
@@ -110,17 +113,17 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
 
 def _int_vector(text: str) -> list[int]:
     data = json.loads(text)
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+    if not isinstance(data, list) or not all(type(v) is int for v in data):
         raise ValueError("expected a JSON array of integers")
     return data
 
 
 def _rational(v) -> Fraction:
-    if isinstance(v, int):
+    if type(v) is int:
         return Fraction(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, int) for x in v):
+    if isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v) and v[1] != 0:
         return Fraction(v[0], v[1])
-    raise ValueError("rationals are integers or [numerator, denominator] pairs")
+    raise ValueError("rationals are integers or [numerator, denominator] pairs with nonzero denominator")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,7 +178,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "complement":
         print(json.dumps(list(complement(_int_vector(args.vector)).vector)))
     elif args.command == "flatten":
-        print(json.dumps(list(flatten(json.loads(args.matrix)))))
+        print(json.dumps(list(flatten(make_matrix(json.loads(args.matrix))))))
     elif args.command == "local-type":
         datum = datum_from_json(json.loads(args.datum))
         mu = local_type_direct(datum)
@@ -212,7 +215,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

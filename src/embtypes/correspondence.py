@@ -129,8 +129,8 @@ def embedding_type_from_local(mu: LocalType, f: int, r: int) -> EmbeddingDatum:
     if (f * r) % mu.denominator:
         raise ValueError(f"not a local type for ({f},{r})")
     scale = f * r // mu.denominator
-    mat = reshape(complement([e * scale for e in mu.entries]), f, r)
-    return make_datum(mat.rows, f, r, len(mu.entries))
+    rows = reshape(complement([e * scale for e in mu.entries]), f, r)
+    return make_datum(rows, f, r, len(mu.entries))
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,9 +13,11 @@ column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
+Matrix = tuple[Vec, ...]
 
 
 def rotate(entries: Sequence[int], k: int) -> Vec:
@@ -27,26 +29,19 @@ def rotate(entries: Sequence[int], k: int) -> Vec:
     return v[k:] + v[:k]
 
 
-def _least_rotation(items: tuple) -> tuple[tuple, int]:
-    """Lexicographically least rotation of items and its smallest shift."""
-    best, shift = items, 0
-    for k in range(1, len(items)):
-        cand = items[k:] + items[:k]
-        if cand < best:
-            best, shift = cand, k
-    return best, shift
+def _least_rotation(items: tuple) -> tuple:
+    """Lexicographically least rotation of items."""
+    return min(items[k:] + items[:k] for k in range(len(items)))
 
 
 @dataclass(frozen=True, slots=True)
 class CyclicClass:
     """A rotation class, stored as its canonical representative.
 
-    vector is the lexicographically least rotation of the input and
-    shift the smallest k with rotate(input, k) == vector.
+    vector is the lexicographically least rotation of the input.
     """
 
     vector: Vec
-    shift: int
 
     def __len__(self) -> int:
         return len(self.vector)
@@ -59,14 +54,13 @@ class CyclicClass:
 def canonical(entries: Sequence[int] | CyclicClass) -> CyclicClass:
     """Canonical representative of the rotation class of entries."""
     if isinstance(entries, CyclicClass):
-        return CyclicClass(entries.vector, 0)
+        return entries
     v = tuple(int(e) for e in entries)
     if not v:
         raise ValueError("empty vector has no rotation class")
     if any(e < 0 for e in v):
         raise ValueError("entries must be non-negative")
-    vec, shift = _least_rotation(v)
-    return CyclicClass(vec, shift)
+    return CyclicClass(_least_rotation(v))
 
 
 def classes_equal(a: Sequence[int] | CyclicClass, b: Sequence[int] | CyclicClass) -> bool:
@@ -119,8 +113,7 @@ def pairs_of(entries: Sequence[int] | CyclicClass) -> PairsForm:
         else:
             gap = support[0] + s - i
         pairs.append((v[i], gap))
-    least, _ = _least_rotation(tuple(pairs))
-    return PairsForm(least)
+    return PairsForm(_least_rotation(tuple(pairs)))
 
 
 def from_pairs(form: PairsForm | Iterable[Sequence[int]]) -> CyclicClass:
@@ -159,45 +152,28 @@ def complement(entries: Sequence[int] | CyclicClass) -> CyclicClass:
     return from_pairs(swapped)
 
 
-@dataclass(frozen=True, slots=True)
-class CycMatrix:
-    """Integer matrix compared through the class of its flattening."""
+def make_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
+    """Validated matrix of non-negative integers from nested sequences.
 
-    rows: tuple[Vec, ...]
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-
-def make_matrix(rows: Sequence[Sequence[int]]) -> CycMatrix:
-    """Validated matrix from nested sequences."""
-    tup = tuple(tuple(int(e) for e in r) for r in rows)
+    Entries must be of type int exactly: bools, floats and strings are
+    rejected rather than converted.
+    """
+    tup = tuple(tuple(r) for r in rows)
     if not tup or not tup[0]:
         raise ValueError("matrix must be nonempty")
     if any(len(r) != len(tup[0]) for r in tup):
         raise ValueError("ragged matrix")
-    if any(e < 0 for r in tup for e in r):
-        raise ValueError("entries must be non-negative")
-    return CycMatrix(tup)
+    if any(type(e) is not int or e < 0 for r in tup for e in r):
+        raise ValueError("entries must be non-negative integers")
+    return tup
 
 
-def flatten(rows: Sequence[Sequence[int]] | CycMatrix) -> Vec:
-    """Row-major flattening of a matrix."""
-    mat = rows if isinstance(rows, CycMatrix) else make_matrix(rows)
-    return tuple(e for row in mat.rows for e in row)
+def flatten(rows: Sequence[Sequence[int]]) -> Vec:
+    """Row-major flattening of a matrix; does not validate the rows."""
+    return tuple(chain.from_iterable(rows))
 
 
-def matrices_equal(a: Sequence[Sequence[int]] | CycMatrix, b: Sequence[Sequence[int]] | CycMatrix) -> bool:
-    """Whether two matrices flatten to the same rotation class."""
-    return classes_equal(flatten(a), flatten(b))
-
-
-def reshape(entries: Sequence[int] | CyclicClass, nrows: int, ncols: int) -> CycMatrix:
+def reshape(entries: Sequence[int] | CyclicClass, nrows: int, ncols: int) -> Matrix:
     """Cut a class into an nrows x ncols matrix with no zero column.
 
     Scans the rotations of the canonical vector in shift order and cuts
@@ -213,5 +189,5 @@ def reshape(entries: Sequence[int] | CyclicClass, nrows: int, ncols: int) -> Cyc
         w = rotate(v, k)
         rows = tuple(w[i * ncols : (i + 1) * ncols] for i in range(nrows))
         if all(any(row[j] for row in rows) for j in range(ncols)):
-            return CycMatrix(rows)
+            return rows
     raise ValueError("no rotation yields positive columns")

@@ -11,7 +11,6 @@ over a smaller field as a single column of length f * r.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 from .cyclic import classes_equal, flatten, make_matrix
@@ -30,15 +29,15 @@ class EmbeddingDatum:
 def make_datum(rows: Sequence[Sequence[int]], f: int, r: int, m: int) -> EmbeddingDatum:
     """Validated embedding datum."""
     mat = make_matrix(rows)
-    if mat.nrows != f or mat.ncols != r:
-        raise ValueError(f"expected a {f}x{r} matrix, got {mat.nrows}x{mat.ncols}")
-    total = sum(sum(row) for row in mat.rows)
+    if len(mat) != f or len(mat[0]) != r:
+        raise ValueError(f"expected a {f}x{r} matrix, got {len(mat)}x{len(mat[0])}")
+    total = sum(sum(row) for row in mat)
     if total != m:
         raise ValueError(f"size mismatch: entries sum to {total}, not {m}")
     for j in range(r):
-        if all(row[j] == 0 for row in mat.rows):
+        if all(row[j] == 0 for row in mat):
             raise ValueError(f"invalid embedding datum: column {j} is zero")
-    return EmbeddingDatum(f, r, m, mat.rows)
+    return EmbeddingDatum(f, r, m, mat)
 
 
 def data_equivalent(a: EmbeddingDatum, b: EmbeddingDatum) -> bool:
@@ -79,17 +78,14 @@ def rank_reduce(datum: EmbeddingDatum) -> EmbeddingDatum:
     return make_datum([(v,) for v in flat], datum.f * datum.r, 1, datum.m)
 
 
-def unramified_degree(residue_degree: int, d: int) -> int:
-    """Degree of the largest unramified part landing inside the algebra."""
-    if residue_degree < 1 or d < 1:
-        raise ValueError("degrees must be positive")
-    return gcd(residue_degree, d)
-
-
 def datum_to_json(datum: EmbeddingDatum) -> dict:
     """Wire form {f, r, m, rows}."""
     return {"f": datum.f, "r": datum.r, "m": datum.m, "rows": [list(r) for r in datum.rows]}
 
 
 def datum_from_json(obj: dict) -> EmbeddingDatum:
-    return make_datum(obj["rows"], int(obj["f"]), int(obj["r"]), int(obj["m"]))
+    """Datum from its wire form; f, r, m and the entries must be integers."""
+    f, r, m = obj["f"], obj["r"], obj["m"]
+    if any(type(v) is not int for v in (f, r, m)):
+        raise ValueError("f, r and m must be integers")
+    return make_datum(obj["rows"], f, r, m)

@@ -26,8 +26,6 @@ from embtypes.apartment import (
     normalize_exponents,
     order_of_chain,
     oriented_edge,
-    point_from_json,
-    point_to_json,
     square_lattice_exponents,
     standard_chain,
     translate,
@@ -336,8 +334,3 @@ def test_coordinate_class_validation():
         coordinate_class([F(1, 2), F(1, 4)])
     with pytest.raises(ValueError):
         coordinate_class([F(3, 2), F(-1, 2)])
-
-
-@given(points())
-def test_point_json_round_trip(x):
-    assert point_from_json(point_to_json(x)) == x

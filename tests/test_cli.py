@@ -8,10 +8,13 @@ import shutil
 import subprocess
 import sys
 import venv
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from embtypes import correspondence
+from embtypes.apartment import LocalType
 from embtypes.cli import VerifyRange, main, run_verify
 from embtypes.embedding import data_equivalent, datum_from_json, make_datum
 from embtypes.enumeration import count_data
@@ -86,6 +89,11 @@ def test_embedding_type_rejects_incompatible_mu(capsys):
         ("local-type", "--datum", '{"f": 1, "r": 1, "rows": [[1]]}'),
         ("local-type", "--datum", '{"f": 1, "r": 2, "m": 1, "rows": [[1, 0]]}'),
         ("verify", "--f-max", "0", "--r-max", "1", "--m-max", "1", "--fr-max", "1"),
+        ("flatten", "[[1.9,0],[0,2]]"),
+        ("flatten", "[[true,0],[0,2]]"),
+        ("canon", "[true,0]"),
+        ("local-type", "--datum", '{"f": 1, "r": 1, "m": 2.7, "rows": [[2]]}'),
+        ("embedding-type", "--mu", "[[1,0]]", "--f", "1", "--r", "1"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv):
@@ -125,6 +133,63 @@ def test_verify_report_file(tmp_path, capsys):
     assert payload["total"] == sum(c["data"] for c in payload["configurations"])
 
 
+def test_verify_report_to_unwritable_path_exits_2_before_the_sweep(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1",
+        "--report", str(tmp_path / "missing" / "x.json"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def _off_direct(original):
+    # a direct route whose first coordinate f * r cannot clear
+    def direct(datum):
+        mu = original(datum)
+        return (mu[0] + Fraction(1, 2 * datum.f * datum.r),) + mu[1:]
+
+    return direct
+
+
+def _off_complement(original):
+    return lambda v: original([v[0] + 1, *v[1:]])
+
+
+def _off_geometric(original):
+    def geometric(datum):
+        lt = original(datum)
+        return LocalType(lt.entries, lt.denominator + 1)
+
+    return geometric
+
+
+@pytest.mark.parametrize(
+    "name, mutate, site",
+    [
+        ("local_type_direct", _off_direct, "integrality"),
+        ("complement", _off_complement, "complement-identity"),
+        ("local_type_geometric", _off_geometric, "pipeline-agreement"),
+    ],
+)
+def test_verifier_reports_each_mismatch_site(tmp_path, capsys, monkeypatch, name, mutate, site):
+    monkeypatch.setattr(correspondence, name, mutate(getattr(correspondence, name)))
+    path = tmp_path / "sweep.json"
+    code, out, _ = run_cli(
+        capsys, "verify", "--f-max", "2", "--r-max", "1", "--m-max", "2", "--fr-max", "2",
+        "--jobs", "1", "--report", str(path),
+    )
+    assert code == 1
+    # every datum fails, at the mutated site
+    total = sum(count_data(f, r, m) for f, r, m in VerifyRange(2, 1, 2, 2).configurations())
+    lines = out.splitlines()
+    assert lines[-2] == f"total data={total} fail={total}"
+    first = json.loads(lines[-1])
+    assert first["verdict"] == "fail" and first["mismatch"] == site
+    payload = json.loads(path.read_text())
+    assert payload["verdict"] == "fail" and payload["total"] == total
+    assert [failure["mismatch"] for failure in payload["failures"]] == [site] * total
+
+
 def test_parallel_output_matches_serial(capsys):
     args = ("verify", "--f-max", "2", "--r-max", "2", "--m-max", "3", "--fr-max", "4")
     code_a, out_a, _ = run_cli(capsys, *args)
@@ -162,6 +227,15 @@ def test_verify_range_rejects_bad_bounds():
         VerifyRange(1, 1, 1, 0)
     with pytest.raises(ValueError):
         VerifyRange(1, 1, 1, 1, jobs=0)
+
+
+def test_python_m_embtypes():
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "embtypes", "canon", "[1,0,1,0]"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == [0, 1, 0, 1]
 
 
 def test_installed_entry_point(tmp_path):

@@ -16,7 +16,6 @@ from embtypes.embedding import (
     make_datum,
     rank_reduce,
     skeleton,
-    unramified_degree,
 )
 from embtypes.enumeration import enumerate_data
 
@@ -111,14 +110,6 @@ def test_rotating_the_flattening_shifts_reduced_levels(datum, k):
     before = skeleton(rank_reduce(datum)).levels
     after = skeleton(turned).levels
     assert sorted((l - k) % ft for l in before) == sorted(after)
-
-
-def test_unramified_degree_is_a_gcd():
-    assert unramified_degree(6, 12) == 6
-    assert unramified_degree(4, 6) == 2
-    assert unramified_degree(1, 5) == 1
-    with pytest.raises(ValueError):
-        unramified_degree(0, 3)
 
 
 @given(data())
