@@ -2,7 +2,8 @@
 
 Lattices are integer exponent vectors of length m, considered modulo
 adding a constant (homothety).  A point of the apartment is a rational
-coordinate vector alpha with alpha_m = 0; it selects the lattice
+coordinate vector alpha with alpha_m = 0, stored as integer numerators
+over one least denominator; it selects the lattice
 ceil(d * (t + alpha)) at parameter t, where d is the denominator the
 context fixes.  Chains of lattices are the faces of the apartment,
 hereditary orders are exponent matrices, and the local type of a point
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import ceil, gcd, lcm
 from typing import Sequence
 
@@ -127,19 +127,36 @@ def standard_chain(composition: Sequence[int]) -> ChainFace:
 
 @dataclass(frozen=True, slots=True)
 class ApartmentPoint:
-    """A point of the apartment in chart coordinates, last entry 0."""
+    """A point of the apartment in chart coordinates: alpha_i = num_i / den.
+
+    num[-1] == 0, den >= 1 and gcd(den, *num) == 1, so equal points
+    compare equal.
+    """
 
     context: ApartmentContext
-    alpha: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
+
+    @property
+    def alpha(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, for readers at the API boundary."""
+        return tuple(Fraction(n, self.den) for n in self.num)
+
+
+def _point(context: ApartmentContext, num: Sequence[int], den: int) -> ApartmentPoint:
+    """Point num / den (den >= 1), shifted so alpha_m = 0, in least terms."""
+    if len(num) != context.m:
+        raise ValueError("coordinate count must match the context")
+    shifted = [n - num[-1] for n in num]
+    g = gcd(den, *shifted)
+    return ApartmentPoint(context, tuple(n // g for n in shifted), den // g)
 
 
 def make_point(context: ApartmentContext, values: Sequence[Rational]) -> ApartmentPoint:
     """Point with the given chart coordinates, normalized so alpha_m = 0."""
     vals = [Fraction(v) for v in values]
-    if len(vals) != context.m:
-        raise ValueError("coordinate count must match the context")
-    last = vals[-1]
-    return ApartmentPoint(context, tuple(v - last for v in vals))
+    den = lcm(*[v.denominator for v in vals])
+    return _point(context, [v.numerator * (den // v.denominator) for v in vals], den)
 
 
 def lattice_at(x: ApartmentPoint, t: Rational) -> Exponents:
@@ -156,9 +173,9 @@ def face_of(x: ApartmentPoint) -> ChainFace:
     parameter), so the distinct thresholds give one step each and the
     period is the number of distinct fractional parts of d * alpha.
     """
-    scaled = [x.context.d * a for a in x.alpha]
-    thetas = sorted({(-v) % 1 for v in scaled})
-    return chain_face([tuple(ceil(th + v) for v in scaled) for th in thetas])
+    scaled = [x.context.d * n for n in x.num]
+    thetas = sorted({-v % x.den for v in scaled})
+    return chain_face([tuple(-((-th - v) // x.den) for v in scaled) for th in thetas])
 
 
 def order_of_chain(ch: ChainFace) -> tuple[Exponents, ...]:
@@ -173,8 +190,8 @@ def chain_of_order(e: Sequence[Sequence[int]]) -> ChainFace:
     """The chain of all lattices stable under the exponent matrix.
 
     A vector c is stable exactly when c_i - c_j <= e_ij for all i, j.
-    Fixing c_m = 0 confines the candidates to a box of width at most 1
-    per coordinate, which is searched directly.
+    Column j (c_i = e_ij) is stable by the triangle inequality, and
+    every step of the chain is a column up to homothety.
     """
     mat = tuple(tuple(int(v) for v in row) for row in e)
     m = len(mat)
@@ -189,14 +206,7 @@ def chain_of_order(e: Sequence[Sequence[int]]) -> ChainFace:
             for k in range(m):
                 if mat[i][j] + mat[j][k] < mat[i][k]:
                     raise ValueError("not a split hereditary order: triangle inequality fails")
-    last = m - 1
-    ranges = [range(-mat[last][i], mat[i][last] + 1) for i in range(last)]
-    stable = set()
-    for combo in product(*ranges):
-        c = combo + (0,)
-        if all(c[i] - c[j] <= mat[i][j] for i in range(m) for j in range(m)):
-            stable.add(normalize_exponents(c))
-    classes = sorted(stable)
+    classes = sorted({normalize_exponents([row[j] for row in mat]) for j in range(m)})
     base = classes[0]
     window = []
     for n in classes[1:]:
@@ -255,19 +265,17 @@ def barycenter(ch: ChainFace, context: ApartmentContext) -> ApartmentPoint:
     """Equal-weight average of the chain's vertex points."""
     if context.m != ch.size:
         raise ValueError("chain size must match the context")
-    r = ch.period
-    coords = [
-        Fraction(sum(s[i] for s in ch.steps), r * context.d) for i in range(ch.size)
-    ]
-    return make_point(context, coords)
+    sums = [sum(s[i] for s in ch.steps) for i in range(ch.size)]
+    return _point(context, sums, ch.period * context.d)
 
 
 def translate(x: ApartmentPoint, shift: Sequence[int]) -> ApartmentPoint:
     """Translate by an integer exponent vector: alpha_i += shift_i / d."""
     if len(shift) != x.context.m:
         raise ValueError("shift length must match the context")
-    d = x.context.d
-    return make_point(x.context, [a + Fraction(int(s), d) for a, s in zip(x.alpha, shift)])
+    den = lcm(x.den, x.context.d)
+    up, step = den // x.den, den // x.context.d
+    return _point(x.context, [n * up + int(s) * step for n, s in zip(x.num, shift)], den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,19 +305,10 @@ def _least_terms(ints: Sequence[int], den: int) -> LocalType:
 def gap_class(values: Sequence[Rational]) -> LocalType:
     """Gap class of a rational vector, a function of fractional parts only.
 
-    Sort the fractional parts decreasingly; the gaps between consecutive
-    ones, led by the wrap gap 1 - largest + smallest, form the local
-    coordinate vector.  Adding one constant to all values rotates the
-    gap list, so the class is shift invariant.
+    It is the local type of the values read as a point with d = 1, so
+    adding one constant to all values leaves it unchanged.
     """
-    vals = [Fraction(v) for v in values]
-    if not vals:
-        raise ValueError("empty vector")
-    den = lcm(*[v.denominator for v in vals])
-    b = sorted(((v.numerator * (den // v.denominator)) % den for v in vals), reverse=True)
-    gaps = [den - b[0] + b[-1]]
-    gaps.extend(b[k - 1] - b[k] for k in range(1, len(b)))
-    return _least_terms(gaps, den)
+    return local_type(make_point(ApartmentContext(len(values), 1), values))
 
 
 def coordinate_class(values: Sequence[Rational]) -> LocalType:
@@ -326,6 +325,14 @@ def coordinate_class(values: Sequence[Rational]) -> LocalType:
 
 
 def local_type(x: ApartmentPoint) -> LocalType:
-    """Local type of the point: the gap class of d * alpha."""
-    return gap_class([x.context.d * a for a in x.alpha])
+    """Local type of the point: the gap class of d * alpha.
+
+    Sort the fractional parts of d * alpha decreasingly; the gaps
+    between consecutive ones, led by the wrap gap 1 - largest +
+    smallest, form the local coordinate vector.
+    """
+    b = sorted(((x.context.d * n) % x.den for n in x.num), reverse=True)
+    gaps = [x.den - b[0] + b[-1]]
+    gaps.extend(b[k - 1] - b[k] for k in range(1, len(b)))
+    return _least_terms(gaps, x.den)
 

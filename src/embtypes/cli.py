@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,15 +16,9 @@ from multiprocessing import Pool
 from typing import Sequence, TextIO
 
 from .apartment import coordinate_class
-from .correspondence import (
-    embedding_type_from_local,
-    local_type_direct,
-    local_type_geometric,
-    report_to_json,
-    verify_correspondence,
-)
+from .correspondence import embedding_type_from_local, report_to_json, verify_correspondence
 from .cyclic import canonical, complement, flatten, make_matrix, pairs_of
-from .embedding import datum_from_json, datum_to_json, make_datum
+from .embedding import datum_from_json, datum_to_json
 from .enumeration import count_data, enumerate_data
 
 
@@ -51,8 +46,13 @@ class VerifyRange:
 
 
 def _verify_one(datum):
-    report = verify_correspondence(datum)
-    return report.verdict, report.mismatch, datum.rows
+    """None for a passing datum, else its failure's wire form; a crash is site `exception`."""
+    try:
+        report = verify_correspondence(datum)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return {"datum": datum_to_json(datum), "verdict": "fail", "mismatch": "exception", "error": error}
+    return None if report.verdict else report_to_json(report)
 
 
 def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO | None = None) -> int:
@@ -62,12 +62,14 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     two runs over the same range print identical summaries whatever the
     worker count.  The first failing datum, if any, is printed as a
     full JSON report; with report_path the summary and all failures are
-    written to a JSON file as well.
+    written to a JSON file as well, through a temporary file that then
+    replaces it, so an interrupted write leaves no truncated report.
     """
     out = stream or sys.stdout
     if report_path is not None:
         # fail on an unwritable path now rather than after the whole sweep
-        open(report_path, "a", encoding="utf-8").close()
+        open(report_path + ".tmp", "a", encoding="utf-8").close()
+        os.remove(report_path + ".tmp")
     configs = []
     failures = []
     total = 0
@@ -75,39 +77,31 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     try:
         for f, r, m in rng.configurations():
             data = enumerate_data(f, r, m)
-            results = pool.imap(_verify_one, data, chunksize=512) if pool else map(_verify_one, data)
-            count = 0
-            failed = 0
-            for verdict, mismatch, rows in results:
-                count += 1
-                if not verdict:
-                    failed += 1
-                    failures.append(
-                        {"f": f, "r": r, "m": m, "rows": [list(x) for x in rows], "mismatch": mismatch}
-                    )
-            total += count
-            configs.append({"f": f, "r": r, "m": m, "data": count, "fail": failed})
-            print(f"f={f} r={r} m={m} data={count} fail={failed}", file=out)
+            results = list(pool.imap(_verify_one, data, chunksize=512) if pool else map(_verify_one, data))
+            failed = [x for x in results if x is not None]
+            failures.extend(failed)
+            total += len(results)
+            configs.append({"f": f, "r": r, "m": m, "data": len(results), "fail": len(failed)})
+            print(f"f={f} r={r} m={m} data={len(results)} fail={len(failed)}", file=out)
     finally:
         if pool:
             pool.close()
             pool.join()
     print(f"total data={total} fail={len(failures)}", file=out)
     if failures:
-        first = failures[0]
-        datum = make_datum(first["rows"], first["f"], first["r"], first["m"])
-        print(json.dumps(report_to_json(verify_correspondence(datum)), sort_keys=True), file=out)
+        print(json.dumps(failures[0], sort_keys=True), file=out)
     if report_path is not None:
         payload = {
             "range": {"f_max": rng.f_max, "r_max": rng.r_max, "m_max": rng.m_max, "fr_max": rng.fr_max},
             "configurations": configs,
             "total": total,
-            "failures": failures,
+            "failures": [{**x["datum"], "mismatch": x["mismatch"]} for x in failures],
             "verdict": "pass" if not failures else "fail",
         }
-        with open(report_path, "w", encoding="utf-8") as fh:
+        with open(report_path + ".tmp", "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        os.replace(report_path + ".tmp", report_path)
     return 1 if failures else 0
 
 
@@ -180,14 +174,13 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "flatten":
         print(json.dumps(list(flatten(make_matrix(json.loads(args.matrix))))))
     elif args.command == "local-type":
-        datum = datum_from_json(json.loads(args.datum))
-        mu = local_type_direct(datum)
-        direct = coordinate_class(mu)
-        geo = local_type_geometric(datum)
+        report = verify_correspondence(datum_from_json(json.loads(args.datum)))
+        direct = coordinate_class(report.coordinates)
+        geo = report.geometric
         print(
             json.dumps(
                 {
-                    "mu": [[v.numerator, v.denominator] for v in mu],
+                    "mu": report_to_json(report)["mu"],
                     "direct": {"class": list(direct.entries), "denominator": direct.denominator},
                     "geometric": {"class": list(geo.entries), "denominator": geo.denominator},
                     "agree": direct == geo,

@@ -23,7 +23,6 @@ from .apartment import (
     barycenter,
     coordinate_class,
     local_type,
-    make_point,
     standard_chain,
     translate,
 )
@@ -41,14 +40,14 @@ def to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
         raise ValueError("f must be positive")
     if x.context.d % f:
         raise ValueError("not applicable: E must be unramified of degree dividing d")
-    return make_point(ApartmentContext(x.context.m, x.context.d // f), x.alpha)
+    return ApartmentPoint(ApartmentContext(x.context.m, x.context.d // f), x.num, x.den)
 
 
 def from_centralizer(y: ApartmentPoint, f: int) -> ApartmentPoint:
     """Inverse direction: scale the denominator back up by f."""
     if f < 1:
         raise ValueError("f must be positive")
-    return make_point(ApartmentContext(y.context.m, y.context.d * f), y.alpha)
+    return ApartmentPoint(ApartmentContext(y.context.m, y.context.d * f), y.num, y.den)
 
 
 def intersection_property(x: ApartmentPoint, f: int) -> bool:
@@ -61,15 +60,14 @@ def intersection_property(x: ApartmentPoint, f: int) -> bool:
     The matrices are evaluated by integer ceiling division, which is
     what square_lattice_exponents computes at these t.
     """
-    y = to_centralizer(x, f)
     d = x.context.d
     m = x.context.m
-    small = y.context.d
-    grid = lcm(d, *[a.denominator for a in x.alpha])
-    q = 2 * grid
-    # q * delta_ij is integral by the choice of grid
-    big_num = [[int(q * d * (ai - aj)) for aj in x.alpha] for ai in x.alpha]
-    small_num = [[int(q * small * (ai - aj)) for aj in x.alpha] for ai in x.alpha]
+    small = to_centralizer(x, f).context.d
+    q = 2 * lcm(d, x.den)
+    # den divides q, so q * delta_ij is an integer
+    s = q // x.den
+    big_num = [[s * d * (ni - nj) for nj in x.num] for ni in x.num]
+    small_num = [[s * small * (ni - nj) for nj in x.num] for ni in x.num]
     # one period of the image side: t in [0, f/d), i.e. k < q * f / d
     for k in range(q * f // d):
         for i in range(m):

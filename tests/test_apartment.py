@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +31,7 @@ from embtypes.apartment import (
     standard_chain,
     translate,
 )
+from embtypes.correspondence import to_centralizer
 from embtypes.cyclic import canonical
 from oracles import brute_square_entry, chains_with_base, chamber_coordinates, class_of_fractions
 
@@ -84,6 +86,22 @@ def test_make_point_normalizes_last_coordinate():
     assert y.alpha == (F(1, 24), F(1, 24), 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         make_point(ApartmentContext(3, 1), [1, 2])
+    ctx = ApartmentContext(2, 1)
+    assert make_point(ctx, [F(2, 4), 0]) == make_point(ctx, [F(1, 2), 0])
+
+
+@given(
+    points(),
+    chains(),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.lists(st.integers(-4, 4), min_size=5, max_size=5),
+)
+def test_points_are_stored_in_least_terms(x, ch, d, f, shift):
+    b = barycenter(ch, ApartmentContext(ch.size, d * f))
+    moved = translate(b, shift[: ch.size])
+    for y in (x, translate(x, shift[: x.context.m]), b, moved, to_centralizer(moved, f)):
+        assert y.num[-1] == 0 and y.den >= 1 and gcd(y.den, *y.num) == 1
 
 
 @given(points(), st.integers(-5, 5), st.integers(1, 7))
@@ -307,6 +325,8 @@ def test_gap_class_shift_invariance_without_normalization():
     base = gap_class(vals)
     for c in (1, F(1, 5), F(-7, 12)):
         assert gap_class([v + c for v in vals]) == base
+    with pytest.raises(ValueError):
+        gap_class([])
 
 
 @given(points())

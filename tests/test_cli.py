@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from embtypes import correspondence
+from embtypes import cli, correspondence
 from embtypes.apartment import LocalType
 from embtypes.cli import VerifyRange, main, run_verify
 from embtypes.embedding import data_equivalent, datum_from_json, make_datum
@@ -142,6 +142,32 @@ def test_verify_report_to_unwritable_path_exits_2_before_the_sweep(tmp_path, cap
     assert err.startswith("error:")
 
 
+def test_verify_report_survives_a_failed_write(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "sweep.json"
+    path.write_text("previous report\n")
+
+    def broken_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    code, _, err = run_cli(
+        capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1",
+        "--report", str(path),
+    )
+    assert code == 2 and "disk full" in err
+    assert path.read_text() == "previous report\n"
+
+
+def test_verify_report_probe_leaves_no_file_when_the_sweep_crashes(tmp_path, monkeypatch):
+    def crash(f, r, m):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "enumerate_data", crash)
+    with pytest.raises(KeyboardInterrupt):
+        run_verify(VerifyRange(1, 1, 1, 1), str(tmp_path / "sweep.json"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def _off_direct(original):
     # a direct route whose first coordinate f * r cannot clear
     def direct(datum):
@@ -163,12 +189,20 @@ def _off_geometric(original):
     return geometric
 
 
+def _raising(original):
+    def geometric(datum):
+        raise RuntimeError(f"no route for m={datum.m}")
+
+    return geometric
+
+
 @pytest.mark.parametrize(
     "name, mutate, site",
     [
         ("local_type_direct", _off_direct, "integrality"),
         ("complement", _off_complement, "complement-identity"),
         ("local_type_geometric", _off_geometric, "pipeline-agreement"),
+        ("local_type_geometric", _raising, "exception"),
     ],
 )
 def test_verifier_reports_each_mismatch_site(tmp_path, capsys, monkeypatch, name, mutate, site):
@@ -185,9 +219,13 @@ def test_verifier_reports_each_mismatch_site(tmp_path, capsys, monkeypatch, name
     assert lines[-2] == f"total data={total} fail={total}"
     first = json.loads(lines[-1])
     assert first["verdict"] == "fail" and first["mismatch"] == site
+    assert first["datum"] == {"f": 1, "r": 1, "m": 1, "rows": [[1]]}
+    if site == "exception":
+        assert first["error"] == "RuntimeError: no route for m=1"
     payload = json.loads(path.read_text())
     assert payload["verdict"] == "fail" and payload["total"] == total
     assert [failure["mismatch"] for failure in payload["failures"]] == [site] * total
+    assert all(set(failure) == {"f", "r", "m", "rows", "mismatch"} for failure in payload["failures"])
 
 
 def test_parallel_output_matches_serial(capsys):
