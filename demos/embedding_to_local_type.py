@@ -17,7 +17,6 @@ from embtypes import (
     local_type_direct,
     local_type_geometric,
     make_datum,
-    rank_reduce,
     report_to_json,
     skeleton,
     verify_correspondence,
@@ -26,9 +25,7 @@ from embtypes import (
 datum = make_datum(((1, 0), (1, 3), (0, 0), (0, 1), (0, 1), (0, 0)), f=6, r=2, m=7)
 print("datum rows  ", datum.rows)
 
-# Over the smaller field the datum is a single column of length f * r,
-# and the skeleton records where its units sit.
-print("rank reduced", flatten(rank_reduce(datum).rows))
+# The skeleton records the column sums and where the units sit.
 sk = skeleton(datum)
 print("skeleton    ", sk.partition, sk.levels)
 

@@ -66,7 +66,6 @@ from .embedding import (
     datum_from_json,
     datum_to_json,
     make_datum,
-    rank_reduce,
     skeleton,
 )
 from .enumeration import count_data, enumerate_data

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .cyclic import CyclicClass, canonical
@@ -161,9 +161,9 @@ def make_point(context: ApartmentContext, values: Sequence[Rational]) -> Apartme
 
 def lattice_at(x: ApartmentPoint, t: Rational) -> Exponents:
     """Exponent vector of the lattice the point selects at parameter t."""
-    d = x.context.d
     tt = Fraction(t)
-    return tuple(ceil(d * (tt + a)) for a in x.alpha)
+    d, q = x.context.d, tt.denominator * x.den
+    return tuple(-(-d * (tt.numerator * x.den + n * tt.denominator) // q) for n in x.num)
 
 
 def face_of(x: ApartmentPoint) -> ChainFace:
@@ -233,10 +233,11 @@ def square_lattice_exponents(x: ApartmentPoint, t: Rational) -> tuple[Exponents,
     Entry (i, j) is ceil(d * (t + alpha_i - alpha_j)), the largest value
     of c_i(s + t) - c_j(s) over all s.
     """
-    d = x.context.d
     tt = Fraction(t)
+    d, q = x.context.d, tt.denominator * x.den
+    base = tt.numerator * x.den
     return tuple(
-        tuple(ceil(d * (tt + ai - aj)) for aj in x.alpha) for ai in x.alpha
+        tuple(-(-d * (base + (ni - nj) * tt.denominator) // q) for nj in x.num) for ni in x.num
     )
 
 
@@ -314,14 +315,17 @@ def gap_class(values: Sequence[Rational]) -> LocalType:
 def coordinate_class(values: Sequence[Rational]) -> LocalType:
     """The cyclic class of an explicit coordinate vector, in least terms.
 
-    For turning an ordered vector of barycentric coordinates (summing
-    to 1) into a LocalType comparable with gap_class output.
+    For turning an ordered vector of barycentric coordinates (ints or
+    Fractions summing to 1) into a LocalType comparable with gap_class
+    output.
     """
-    vals = [Fraction(v) for v in values]
-    if not vals or any(v < 0 for v in vals) or sum(vals) != 1:
+    if any(type(v) not in (int, Fraction) for v in values):
+        raise ValueError("coordinates must be ints or Fractions")
+    den = lcm(*[v.denominator for v in values])
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    if any(n < 0 for n in ints) or sum(ints) != den:
         raise ValueError("coordinates must be non-negative and sum to 1")
-    den = lcm(*[v.denominator for v in vals])
-    return _least_terms([int(v * den) for v in vals], den)
+    return _least_terms(ints, den)
 
 
 def local_type(x: ApartmentPoint) -> LocalType:

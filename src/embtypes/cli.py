@@ -63,13 +63,15 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     worker count.  The first failing datum, if any, is printed as a
     full JSON report; with report_path the summary and all failures are
     written to a JSON file as well, through a temporary file that then
-    replaces it, so an interrupted write leaves no truncated report.
+    replaces it, so an interrupted write leaves no truncated report and
+    a failed one leaves no temporary file.
     """
     out = stream or sys.stdout
     if report_path is not None:
         # fail on an unwritable path now rather than after the whole sweep
-        open(report_path + ".tmp", "a", encoding="utf-8").close()
-        os.remove(report_path + ".tmp")
+        tmp = report_path + ".tmp"
+        open(tmp, "a", encoding="utf-8").close()
+        os.remove(tmp)
     configs = []
     failures = []
     total = 0
@@ -98,10 +100,15 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
             "failures": [{**x["datum"], "mismatch": x["mismatch"]} for x in failures],
             "verdict": "pass" if not failures else "fail",
         }
-        with open(report_path + ".tmp", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(report_path + ".tmp", report_path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, report_path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
     return 1 if failures else 0
 
 

@@ -27,7 +27,7 @@ from .apartment import (
     translate,
 )
 from .cyclic import CyclicClass, canonical, complement, flatten, reshape
-from .embedding import EmbeddingDatum, datum_to_json, make_datum, rank_reduce, skeleton
+from .embedding import EmbeddingDatum, datum_to_json, make_datum, skeleton
 
 
 def to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
@@ -83,20 +83,13 @@ def intersection_property(x: ApartmentPoint, f: int) -> bool:
 def local_type_direct(datum: EmbeddingDatum) -> tuple[Fraction, ...]:
     """Ordered local coordinates of the datum, by the counting formula.
 
-    Reduce to a single column over the smaller field and let a_j be the
-    row holding the j-th of the m units; the coordinates are the cyclic
-    differences of the a_j over f * r, wrap term first.
+    Over the smaller field the datum is the single column flatten(rows)
+    of length f * r; let a_j be the row holding the j-th of the m units.
+    The coordinates are the cyclic differences of the a_j over f * r,
+    wrap term first.
     """
     ft = datum.f * datum.r
-    flat = flatten(rank_reduce(datum).rows)
-    a = []
-    row = 0
-    covered = flat[0]
-    for j in range(1, datum.m + 1):
-        while covered < j:
-            row += 1
-            covered += flat[row]
-        a.append(row)
+    a = [i for i, v in enumerate(flatten(datum.rows)) for _ in range(v)]
     mu = [Fraction(ft - a[-1] + a[0], ft)]
     mu.extend(Fraction(a[j] - a[j - 1], ft) for j in range(1, datum.m))
     return tuple(mu)
@@ -153,13 +146,12 @@ def verify_correspondence(datum: EmbeddingDatum) -> CorrespondenceReport:
     mu = local_type_direct(datum)
     geometric = local_type_geometric(datum)
     ft = datum.f * datum.r
-    scaled = [ft * v for v in mu]
     mismatch = None
     comp = None
-    if any(v.denominator != 1 for v in scaled):
+    if any(ft % v.denominator for v in mu):
         mismatch = "integrality"
     else:
-        comp = complement([int(v) for v in scaled])
+        comp = complement([v.numerator * (ft // v.denominator) for v in mu])
         if comp.vector != canonical(flatten(datum.rows)).vector:
             mismatch = "complement-identity"
     if mismatch is None and coordinate_class(mu) != geometric:

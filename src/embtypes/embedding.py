@@ -4,8 +4,7 @@ An embedding datum is an f x r matrix of non-negative integers summing
 to m in which every column has a positive entry.  Two data are the same
 embedding type when their row-major flattenings are rotations of each
 other.  The skeleton records the column sums and the row level of each
-of the m units in column-major order; rank reduction views the datum
-over a smaller field as a single column of length f * r.
+of the m units in column-major order.
 """
 
 from __future__ import annotations
@@ -67,15 +66,6 @@ def skeleton(datum: EmbeddingDatum) -> PearlSkeleton:
         for i in range(datum.f):
             levels.extend([i] * datum.rows[i][j])
     return PearlSkeleton(partition, tuple(levels))
-
-
-def rank_reduce(datum: EmbeddingDatum) -> EmbeddingDatum:
-    """The datum over the smaller field: one column of length f * r.
-
-    The flattening is preserved entry for entry, not merely as a class.
-    """
-    flat = flatten(datum.rows)
-    return make_datum([(v,) for v in flat], datum.f * datum.r, 1, datum.m)
 
 
 def datum_to_json(datum: EmbeddingDatum) -> dict:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator
 
-from .embedding import EmbeddingDatum, make_datum
+from .embedding import EmbeddingDatum
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[list[int]]:
@@ -25,14 +25,15 @@ def enumerate_data(f: int, r: int, m: int) -> Iterator[EmbeddingDatum]:
     """Every datum of M(f, r; m) once, ascending in the flattened matrix.
 
     Empty when r > m, since each of the r columns needs a positive
-    entry.
+    entry.  The compositions and the zero-column filter already make
+    every datum valid, so none goes through make_datum.
     """
     if f < 1 or r < 1 or m < 1:
         raise ValueError("f, r and m must be positive")
     for flat in _weak_compositions(m, f * r):
         if any(not any(flat[j::r]) for j in range(r)):
             continue
-        yield make_datum([flat[i * r : (i + 1) * r] for i in range(f)], f, r, m)
+        yield EmbeddingDatum(f, r, m, tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(f)))
 
 
 def count_data(f: int, r: int, m: int) -> int:

@@ -354,3 +354,8 @@ def test_coordinate_class_validation():
         coordinate_class([F(1, 2), F(1, 4)])
     with pytest.raises(ValueError):
         coordinate_class([F(3, 2), F(-1, 2)])
+    assert coordinate_class([0, F(1, 2), F(1, 2)]) == LocalType((0, 1, 1), 2)
+    with pytest.raises(ValueError):
+        coordinate_class([])
+    with pytest.raises(ValueError):
+        coordinate_class([0.5, 0.5])

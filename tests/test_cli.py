@@ -156,6 +156,7 @@ def test_verify_report_survives_a_failed_write(tmp_path, capsys, monkeypatch):
     )
     assert code == 2 and "disk full" in err
     assert path.read_text() == "previous report\n"
+    assert not (tmp_path / "sweep.json.tmp").exists()
 
 
 def test_verify_report_probe_leaves_no_file_when_the_sweep_crashes(tmp_path, monkeypatch):

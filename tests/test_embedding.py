@@ -1,4 +1,4 @@
-"""Embedding data, skeletons, rank reduction."""
+"""Embedding data and skeletons."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from embtypes.embedding import (
     datum_from_json,
     datum_to_json,
     make_datum,
-    rank_reduce,
     skeleton,
 )
 from embtypes.enumeration import enumerate_data
@@ -86,28 +85,13 @@ def test_skeleton_level_counts_are_row_sums(datum):
         assert sum(1 for l in sk.levels if l == i) == sum(datum.rows[i])
 
 
-def test_rank_reduce_known_values():
-    reduced = rank_reduce(make_datum(WORKED_ROWS, 6, 2, 7))
-    assert reduced.f == 12 and reduced.r == 1 and reduced.m == 7
-    assert flatten(reduced.rows) == (1, 0, 1, 3, 0, 0, 0, 1, 0, 1, 0, 0)
-    two_col = make_datum([(2, 0), (1, 3), (0, 1)], 3, 2, 7)
-    assert flatten(rank_reduce(two_col).rows) == (2, 0, 1, 3, 0, 1)
-
-
-@given(data())
-def test_rank_reduce_preserves_the_flattening_entrywise(datum):
-    reduced = rank_reduce(datum)
-    assert flatten(reduced.rows) == flatten(datum.rows)
-    assert rank_reduce(reduced) == reduced
-
-
 @given(data(), st.integers(0, 11))
 def test_rotating_the_flattening_shifts_reduced_levels(datum, k):
     # rotating the single-column datum by k relabels every level by -k mod f*r
     ft = datum.f * datum.r
     flat = flatten(datum.rows)
     turned = make_datum([(v,) for v in rotate(flat, k)], ft, 1, datum.m)
-    before = skeleton(rank_reduce(datum)).levels
+    before = skeleton(make_datum([(v,) for v in flat], ft, 1, datum.m)).levels
     after = skeleton(turned).levels
     assert sorted((l - k) % ft for l in before) == sorted(after)
 

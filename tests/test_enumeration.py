@@ -42,6 +42,14 @@ def test_counts_match_the_enumeration():
         assert count_data(f, r, m) == sum(1 for _ in enumerate_data(f, r, m))
 
 
+def test_enumerated_data_pass_make_datum_unchanged():
+    # enumerate_data builds data without make_datum; each must be one it accepts as is
+    for f, r, m in product(range(1, 4), range(1, 4), range(1, 6)):
+        for d in enumerate_data(f, r, m):
+            assert make_datum(d.rows, d.f, d.r, d.m) == d
+            assert type(d.rows) is tuple and all(type(row) is tuple for row in d.rows)
+
+
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6))
 def test_enumeration_is_sorted_and_duplicate_free(f, r, m):
     flats = [flatten(d.rows) for d in enumerate_data(f, r, m)]
