@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .cyclic import CyclicClass, canonical
+from .cyclic import CyclicClass, _least_rotation, canonical
 
 Exponents = tuple[int, ...]
 Rational = Fraction | int
@@ -130,7 +130,8 @@ class ApartmentPoint:
     """A point of the apartment in chart coordinates: alpha_i = num_i / den.
 
     num[-1] == 0, den >= 1 and gcd(den, *num) == 1, so equal points
-    compare equal.
+    compare equal.  local_type relies on num[-1] == 0: _point ensures
+    it, and a point built by hand must keep it.
     """
 
     context: ApartmentContext
@@ -152,11 +153,20 @@ def _point(context: ApartmentContext, num: Sequence[int], den: int) -> Apartment
     return ApartmentPoint(context, tuple(n // g for n in shifted), den // g)
 
 
+def _over_common_denominator(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """Numerators of int or Fraction values over their least common denominator.
+
+    Any other type, bool, float and str included, raises ValueError.
+    """
+    if any(type(v) not in (int, Fraction) for v in values):
+        raise ValueError("coordinates must be ints or Fractions")
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def make_point(context: ApartmentContext, values: Sequence[Rational]) -> ApartmentPoint:
-    """Point with the given chart coordinates, normalized so alpha_m = 0."""
-    vals = [Fraction(v) for v in values]
-    den = lcm(*[v.denominator for v in vals])
-    return _point(context, [v.numerator * (den // v.denominator) for v in vals], den)
+    """Point with the given int or Fraction chart coordinates, normalized so alpha_m = 0."""
+    return _point(context, *_over_common_denominator(values))
 
 
 def lattice_at(x: ApartmentPoint, t: Rational) -> Exponents:
@@ -300,7 +310,7 @@ def _least_terms(ints: Sequence[int], den: int) -> LocalType:
     The entries sum to den, so their gcd divides den as well.
     """
     g = gcd(*ints)
-    return LocalType(canonical([x // g for x in ints]).vector, den // g)
+    return LocalType(_least_rotation(tuple(x // g for x in ints)), den // g)
 
 
 def gap_class(values: Sequence[Rational]) -> LocalType:
@@ -319,10 +329,7 @@ def coordinate_class(values: Sequence[Rational]) -> LocalType:
     Fractions summing to 1) into a LocalType comparable with gap_class
     output.
     """
-    if any(type(v) not in (int, Fraction) for v in values):
-        raise ValueError("coordinates must be ints or Fractions")
-    den = lcm(*[v.denominator for v in values])
-    ints = [v.numerator * (den // v.denominator) for v in values]
+    ints, den = _over_common_denominator(values)
     if any(n < 0 for n in ints) or sum(ints) != den:
         raise ValueError("coordinates must be non-negative and sum to 1")
     return _least_terms(ints, den)
@@ -333,10 +340,11 @@ def local_type(x: ApartmentPoint) -> LocalType:
 
     Sort the fractional parts of d * alpha decreasingly; the gaps
     between consecutive ones, led by the wrap gap 1 - largest +
-    smallest, form the local coordinate vector.
+    smallest, form the local coordinate vector.  The smallest part is
+    0, because num[-1] == 0, so the wrap gap is 1 - largest.
     """
     b = sorted(((x.context.d * n) % x.den for n in x.num), reverse=True)
-    gaps = [x.den - b[0] + b[-1]]
+    gaps = [x.den - b[0]]
     gaps.extend(b[k - 1] - b[k] for k in range(1, len(b)))
     return _least_terms(gaps, x.den)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
@@ -28,6 +29,10 @@ from .apartment import (
 )
 from .cyclic import CyclicClass, canonical, complement, flatten, reshape
 from .embedding import EmbeddingDatum, datum_to_json, make_datum, skeleton
+
+# The geometric route meets few partitions (98 over the whole gate range),
+# so it builds each standard chain once; keys are skeleton partition tuples.
+_standard_chain = lru_cache(maxsize=None)(standard_chain)
 
 
 def to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
@@ -100,11 +105,13 @@ def local_type_geometric(datum: EmbeddingDatum) -> LocalType:
 
     Barycenter of the standard chain of the column sums in denominator
     f * r, moved to the diagonal frame by the skeleton levels, then
-    read in the centralizer apartment.
+    read in the centralizer apartment.  The chain is shared per
+    partition; barycenter, translate, centralizer and local type run
+    for every datum.
     """
     sk = skeleton(datum)
     ctx = ApartmentContext(datum.m, datum.f * datum.r)
-    x = barycenter(standard_chain(sk.partition), ctx)
+    x = barycenter(_standard_chain(sk.partition), ctx)
     moved = translate(x, [-l for l in sk.levels])
     return local_type(to_centralizer(moved, datum.f))
 

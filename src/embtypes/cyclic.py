@@ -30,8 +30,13 @@ def rotate(entries: Sequence[int], k: int) -> Vec:
 
 
 def _least_rotation(items: tuple) -> tuple:
-    """Lexicographically least rotation of items."""
-    return min(items[k:] + items[:k] for k in range(len(items)))
+    """Lexicographically least rotation of a nonempty tuple; no validation.
+
+    A least rotation starts at a least entry, so only those starts are
+    tried.
+    """
+    low = min(items)
+    return min(items[k:] + items[:k] for k, e in enumerate(items) if e == low)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,27 +98,40 @@ class PairsForm:
         return sum(a for a, _ in self.pairs)
 
 
+def _vector(entries: Sequence[int] | CyclicClass) -> Vec:
+    """Entries as a tuple of ints, checked non-negative."""
+    v = entries.vector if isinstance(entries, CyclicClass) else tuple(int(e) for e in entries)
+    if any(e < 0 for e in v):
+        raise ValueError("entries must be non-negative")
+    return v
+
+
+def _pairs(v: Vec) -> list[tuple[int, int]]:
+    """Pairs of a non-negative vector, starting at its first nonzero entry."""
+    support = [i for i, e in enumerate(v) if e != 0]
+    if not support:
+        raise ValueError("zero vector has no pairs form")
+    ends = support[1:] + [support[0] + len(v)]
+    return [(v[i], end - i) for i, end in zip(support, ends)]
+
+
+def _unfold(pairs: Sequence[tuple[int, int]]) -> CyclicClass:
+    """Class of the vector with the given pairs, taken as valid."""
+    out = [0] * sum(b for _, b in pairs)
+    pos = 0
+    for a, b in pairs:
+        out[pos] = a
+        pos += b
+    return CyclicClass(_least_rotation(tuple(out)))
+
+
 def pairs_of(entries: Sequence[int] | CyclicClass) -> PairsForm:
     """Pairs form of the class of entries.
 
     Rotating the vector rotates the pair list, so the stored form only
     depends on the class.  The zero vector has no pairs form.
     """
-    v = entries.vector if isinstance(entries, CyclicClass) else tuple(int(e) for e in entries)
-    if any(e < 0 for e in v):
-        raise ValueError("entries must be non-negative")
-    support = [i for i, e in enumerate(v) if e != 0]
-    if not support:
-        raise ValueError("zero vector has no pairs form")
-    s = len(v)
-    pairs = []
-    for j, i in enumerate(support):
-        if j + 1 < len(support):
-            gap = support[j + 1] - i
-        else:
-            gap = support[0] + s - i
-        pairs.append((v[i], gap))
-    return PairsForm(_least_rotation(tuple(pairs)))
+    return PairsForm(_least_rotation(tuple(_pairs(_vector(entries)))))
 
 
 def from_pairs(form: PairsForm | Iterable[Sequence[int]]) -> CyclicClass:
@@ -130,12 +148,7 @@ def from_pairs(form: PairsForm | Iterable[Sequence[int]]) -> CyclicClass:
         raise ValueError("pairs form must be nonempty")
     if any(a <= 0 or b <= 0 for a, b in pairs):
         raise ValueError("values and gaps must be positive")
-    out = [0] * sum(b for _, b in pairs)
-    pos = 0
-    for a, b in pairs:
-        out[pos] = a
-        pos += b
-    return canonical(out)
+    return _unfold(pairs)
 
 
 def complement(entries: Sequence[int] | CyclicClass) -> CyclicClass:
@@ -146,10 +159,8 @@ def complement(entries: Sequence[int] | CyclicClass) -> CyclicClass:
     classes of length s and sum t to classes of length t and sum s, and
     applying it twice gives back the original class.
     """
-    p = pairs_of(entries).pairs
-    k = len(p)
-    swapped = tuple((p[j][1], p[(j + 1) % k][0]) for j in range(k))
-    return from_pairs(swapped)
+    p = _pairs(_vector(entries))
+    return _unfold([(b, a) for (_, b), (a, _) in zip(p, p[1:] + p[:1])])
 
 
 def make_matrix(rows: Sequence[Sequence[int]]) -> Matrix:

@@ -329,6 +329,14 @@ def test_gap_class_shift_invariance_without_normalization():
         gap_class([])
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/3", True])
+def test_make_point_and_gap_class_reject_non_rationals(bad):
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        make_point(ApartmentContext(2, 1), [bad, 0])
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        gap_class([bad, 0])
+
+
 @given(points())
 def test_local_type_matches_chamber_coordinates(x):
     mu = chamber_coordinates(x)

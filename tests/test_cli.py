@@ -283,8 +283,11 @@ def test_installed_entry_point(tmp_path):
     The package is installed in development mode into a throwaway venv that
     sees the system site packages, from a copy of `pyproject.toml` and
     `src/`, so neither the checkout nor the running interpreter is written.
+    A venv with system site packages sees the base interpreter's packages,
+    not those of a venv pytest may run in, so the build step is pointed at
+    the setuptools this interpreter imports.
     """
-    pytest.importorskip("setuptools")
+    setuptools = pytest.importorskip("setuptools")
     project = tmp_path / "project"
     ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
     shutil.copytree(REPO / "src", project / "src", ignore=ignore)
@@ -294,7 +297,8 @@ def test_installed_entry_point(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     python = shutil.which("python", path=bin_dir)
     develop = [python, "-c", "import setuptools; setuptools.setup()", "develop"]
-    subprocess.run(develop, cwd=project, env=env, check=True)
+    build_env = {**env, "PYTHONPATH": str(Path(setuptools.__file__).parents[1])}
+    subprocess.run(develop, cwd=project, env=build_env, check=True)
 
     exe = shutil.which("embtypes", path=bin_dir)
     assert exe, "console script should be on PATH"

@@ -14,6 +14,7 @@ from embtypes.apartment import (
     LocalType,
     barycenter,
     coordinate_class,
+    local_type,
     make_point,
     square_lattice_exponents,
     standard_chain,
@@ -171,6 +172,20 @@ def test_geometric_route_of_the_worked_datum():
 def test_geometric_route_small_cases():
     assert local_type_geometric(make_datum([(3,)], 1, 1, 3)) == LocalType((0, 0, 1), 1)
     assert local_type_geometric(make_datum([(1,), (1,)], 2, 1, 2)) == LocalType((1, 1), 2)
+
+
+def test_geometric_route_matches_the_uncached_pipeline():
+    # the route shares one chain per partition; build each one afresh here
+    for f in range(1, 4):
+        for r in range(1, 4):
+            for m in range(1, 6):
+                for datum in enumerate_data(f, r, m):
+                    sk = skeleton(datum)
+                    chain = standard_chain(list(sk.partition))
+                    x = barycenter(chain, ApartmentContext(m, f * r))
+                    moved = translate(x, [-l for l in sk.levels])
+                    expected = local_type(to_centralizer(moved, f))
+                    assert local_type_geometric(datum) == expected
 
 
 def test_embedding_type_inverts_the_worked_class():

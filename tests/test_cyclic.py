@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from embtypes.cyclic import (
     CyclicClass,
     PairsForm,
+    _least_rotation,
     canonical,
     classes_equal,
     complement,
@@ -54,6 +55,20 @@ def test_canonical_matches_brute_force(v):
     assert canonical(c.vector) == c
 
 
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 2), min_size=1, max_size=9),
+        st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=6),
+    )
+)
+@example([3, 3, 3, 3])
+@example([0, 1, 0, 1, 0, 0])
+@example([(1, 2), (1, 1), (1, 2), (1, 1)])
+def test_least_rotation_is_the_min_over_all_rotations(v):
+    # repeated minima and all-equal vectors included
+    assert _least_rotation(tuple(v)) == min(all_rotations(v))
+
+
 @given(vectors, st.integers(0, 20))
 def test_canonical_is_rotation_invariant(v, k):
     assert canonical(rotate(v, k)).vector == canonical(v).vector
@@ -96,6 +111,14 @@ def test_complement_known_values():
     assert complement((0, 2, 0)).vector == canonical((3, 0)).vector
     assert complement((5,)).vector == canonical((1, 0, 0, 0, 0)).vector
     assert complement((1, 0, 0, 0, 0)).vector == (5,)
+
+
+@given(vectors)
+def test_complement_is_the_swap_of_its_pairs(v):
+    assume(any(v))
+    p = pairs_of(v).pairs
+    swapped = [(p[j][1], p[(j + 1) % len(p)][0]) for j in range(len(p))]
+    assert complement(v) == from_pairs(swapped)
 
 
 def test_complement_swaps_length_and_sum():
