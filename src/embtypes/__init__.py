@@ -22,14 +22,12 @@ from .apartment import (
     coordinate_class,
     face_of,
     gap_class,
-    homothetic,
     invariant_of,
     lattice_at,
     local_type,
     make_point,
     normalize_exponents,
     order_of_chain,
-    oriented_edge,
     square_lattice_exponents,
     standard_chain,
     translate,

@@ -37,18 +37,13 @@ class ApartmentContext:
 
 def normalize_exponents(c: Sequence[int]) -> Exponents:
     """Shift so the least entry is 0, fixing a homothety representative."""
-    v = tuple(int(x) for x in c)
+    v = tuple(c)
     if not v:
         raise ValueError("empty exponent vector")
+    if any(type(x) is not int for x in v):
+        raise ValueError("exponents must be integers")
     low = min(v)
     return tuple(x - low for x in v)
-
-
-def homothetic(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Whether two exponent vectors differ by a constant."""
-    if len(a) != len(b):
-        return False
-    return normalize_exponents(a) == normalize_exponents(b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,9 +73,11 @@ def chain_face(steps: Sequence[Sequence[int]]) -> ChainFace:
     Accepts any representative: the steps may carry a common shift and
     may start anywhere in the cycle.
     """
-    raw = tuple(tuple(int(x) for x in s) for s in steps)
+    raw = tuple(tuple(s) for s in steps)
     if not raw or not raw[0]:
         raise ValueError("a chain needs at least one step")
+    if any(type(x) is not int for s in raw for x in s):
+        raise ValueError("steps must be integer vectors")
     m = len(raw[0])
     if any(len(s) != m for s in raw):
         raise ValueError("steps must share one length")
@@ -110,9 +107,9 @@ def standard_chain(composition: Sequence[int]) -> ChainFace:
     the number of blocks and the jump counts are exactly the given
     composition.
     """
-    parts = tuple(int(n) for n in composition)
-    if not parts or any(n <= 0 for n in parts):
-        raise ValueError("composition entries must be positive")
+    parts = tuple(composition)
+    if not parts or any(type(n) is not int or n <= 0 for n in parts):
+        raise ValueError("composition entries must be positive integers")
     m = sum(parts)
     cur = [0] * m
     steps = [tuple(cur)]
@@ -169,9 +166,16 @@ def make_point(context: ApartmentContext, values: Sequence[Rational]) -> Apartme
     return _point(context, *_over_common_denominator(values))
 
 
+def _parameter(t: Rational) -> Fraction:
+    """t as a Fraction; any type but int and Fraction raises ValueError, as in make_point."""
+    if type(t) not in (int, Fraction):
+        raise ValueError("the parameter t must be an int or a Fraction")
+    return Fraction(t)
+
+
 def lattice_at(x: ApartmentPoint, t: Rational) -> Exponents:
-    """Exponent vector of the lattice the point selects at parameter t."""
-    tt = Fraction(t)
+    """Exponent vector of the lattice the point selects at an int or Fraction t."""
+    tt = _parameter(t)
     d, q = x.context.d, tt.denominator * x.den
     return tuple(-(-d * (tt.numerator * x.den + n * tt.denominator) // q) for n in x.num)
 
@@ -241,35 +245,14 @@ def square_lattice_exponents(x: ApartmentPoint, t: Rational) -> tuple[Exponents,
     """Exponent matrix of the square lattice the point selects at t.
 
     Entry (i, j) is ceil(d * (t + alpha_i - alpha_j)), the largest value
-    of c_i(s + t) - c_j(s) over all s.
+    of c_i(s + t) - c_j(s) over all s; t is an int or a Fraction.
     """
-    tt = Fraction(t)
+    tt = _parameter(t)
     d, q = x.context.d, tt.denominator * x.den
     base = tt.numerator * x.den
     return tuple(
         tuple(-(-d * (base + (ni - nj) * tt.denominator) // q) for nj in x.num) for ni in x.num
     )
-
-
-def oriented_edge(v: Sequence[int], w: Sequence[int]) -> bool:
-    """Whether the edge from vertex class [v] to [w] carries the orientation.
-
-    True when some representative of [w] lies above v with total excess
-    exactly 1.  Distinct adjacent vertices are oriented in exactly one
-    direction; coincident classes span no edge.
-    """
-    a = tuple(int(x) for x in v)
-    b = tuple(int(x) for x in w)
-    m = len(a)
-    if len(b) != m:
-        raise ValueError("vertex vectors must share one length")
-    if homothetic(a, b):
-        raise ValueError("not an edge")
-    excess = 1 - (sum(b) - sum(a))
-    if excess % m:
-        return False
-    k = excess // m
-    return all(b[i] + k - a[i] >= 0 for i in range(m))
 
 
 def barycenter(ch: ChainFace, context: ApartmentContext) -> ApartmentPoint:

@@ -55,13 +55,35 @@ def _verify_one(datum):
     return None if report.verdict else report_to_json(report)
 
 
+def _verify_shard(task):
+    """Verify the shard (f, r, m, head) of M(f, r; m), enumerated here.
+
+    Returns the number of data and their failures in enumeration order,
+    so a pool worker receives four integers and sends back no datum
+    that passed.
+    """
+    count = 0
+    failures = []
+    for datum in enumerate_data(*task):
+        count += 1
+        failure = _verify_one(datum)
+        if failure is not None:
+            failures.append(failure)
+    return count, failures
+
+
 def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO | None = None) -> int:
     """Certify every datum in the range; returns the exit code.
 
-    One line per configuration plus a total, in enumeration order, so
-    two runs over the same range print identical summaries whatever the
-    worker count.  The first failing datum, if any, is printed as a
-    full JSON report; with report_path the summary and all failures are
+    The range is cut into shards (f, r, m, head), the data of one
+    configuration whose first flattened entry is head, and all of them
+    go through one ordered pass: builtin map at jobs 1, one pool at
+    jobs > 1, so no configuration waits for the one before it.  One
+    line per configuration plus a total, in enumeration order, so two
+    runs over the same range print identical summaries whatever the
+    worker count; a configuration's line is printed when its last shard
+    returns.  The first failing datum, if any, is printed as a full
+    JSON report; with report_path the summary and all failures are
     written to a JSON file as well, through a temporary file that then
     replaces it, so an interrupted write leaves no truncated report and
     a failed one leaves no temporary file.
@@ -72,19 +94,22 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
         tmp = report_path + ".tmp"
         open(tmp, "a", encoding="utf-8").close()
         os.remove(tmp)
+    tasks = [(f, r, m, head) for f, r, m in rng.configurations() for head in range(m + 1)]
     configs = []
     failures = []
-    total = 0
+    total = data = fail = 0
     pool = Pool(rng.jobs) if rng.jobs > 1 else None
     try:
-        for f, r, m in rng.configurations():
-            data = enumerate_data(f, r, m)
-            results = list(pool.imap(_verify_one, data, chunksize=512) if pool else map(_verify_one, data))
-            failed = [x for x in results if x is not None]
+        results = pool.imap(_verify_shard, tasks) if pool else map(_verify_shard, tasks)
+        for (count, failed), (f, r, m, head) in zip(results, tasks):
             failures.extend(failed)
-            total += len(results)
-            configs.append({"f": f, "r": r, "m": m, "data": len(results), "fail": len(failed)})
-            print(f"f={f} r={r} m={m} data={len(results)} fail={len(failed)}", file=out)
+            data += count
+            fail += len(failed)
+            if head == m:
+                total += data
+                configs.append({"f": f, "r": r, "m": m, "data": data, "fail": fail})
+                print(f"f={f} r={r} m={m} data={data} fail={fail}", file=out)
+                data = fail = 0
     finally:
         if pool:
             pool.close()

@@ -57,14 +57,17 @@ class CyclicClass:
 
 
 def canonical(entries: Sequence[int] | CyclicClass) -> CyclicClass:
-    """Canonical representative of the rotation class of entries."""
+    """Canonical representative of the rotation class of entries.
+
+    Entries must be of type int exactly, as in make_matrix.
+    """
     if isinstance(entries, CyclicClass):
         return entries
-    v = tuple(int(e) for e in entries)
+    v = tuple(entries)
     if not v:
         raise ValueError("empty vector has no rotation class")
-    if any(e < 0 for e in v):
-        raise ValueError("entries must be non-negative")
+    if any(type(e) is not int or e < 0 for e in v):
+        raise ValueError("entries must be non-negative integers")
     return CyclicClass(_least_rotation(v))
 
 
@@ -99,10 +102,12 @@ class PairsForm:
 
 
 def _vector(entries: Sequence[int] | CyclicClass) -> Vec:
-    """Entries as a tuple of ints, checked non-negative."""
-    v = entries.vector if isinstance(entries, CyclicClass) else tuple(int(e) for e in entries)
-    if any(e < 0 for e in v):
-        raise ValueError("entries must be non-negative")
+    """Entries as a tuple, checked to be non-negative ints."""
+    if isinstance(entries, CyclicClass):
+        return entries.vector
+    v = tuple(entries)
+    if any(type(e) is not int or e < 0 for e in v):
+        raise ValueError("entries must be non-negative integers")
     return v
 
 
@@ -143,11 +148,11 @@ def from_pairs(form: PairsForm | Iterable[Sequence[int]]) -> CyclicClass:
     if isinstance(form, PairsForm):
         pairs = form.pairs
     else:
-        pairs = tuple((int(a), int(b)) for a, b in form)
+        pairs = tuple((a, b) for a, b in form)
     if not pairs:
         raise ValueError("pairs form must be nonempty")
-    if any(a <= 0 or b <= 0 for a, b in pairs):
-        raise ValueError("values and gaps must be positive")
+    if any(type(a) is not int or type(b) is not int or a <= 0 or b <= 0 for a, b in pairs):
+        raise ValueError("values and gaps must be positive integers")
     return _unfold(pairs)
 
 

@@ -1,4 +1,4 @@
-"""Points, chains, orders, orientation, barycenters, local types."""
+"""Points, chains, orders, barycenters, local types."""
 
 from __future__ import annotations
 
@@ -19,14 +19,12 @@ from embtypes.apartment import (
     coordinate_class,
     face_of,
     gap_class,
-    homothetic,
     invariant_of,
     lattice_at,
     local_type,
     make_point,
     normalize_exponents,
     order_of_chain,
-    oriented_edge,
     square_lattice_exponents,
     standard_chain,
     translate,
@@ -57,17 +55,6 @@ def chains(draw, max_m=5):
     base = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
     steps = [
         tuple(base[i] + (1 if labels[i] <= l else 0) for i in range(m)) for l in range(r)
-    ]
-    return chain_face(steps)
-
-
-@st.composite
-def chambers(draw, max_m=5):
-    m = draw(st.integers(1, max_m))
-    labels = draw(st.permutations(list(range(1, m + 1))))
-    base = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
-    steps = [
-        tuple(base[i] + (1 if labels[i] <= l else 0) for i in range(m)) for l in range(m)
     ]
     return chain_face(steps)
 
@@ -128,9 +115,8 @@ def test_lattice_periodicity(x, num, den):
 
 def test_exponent_normalization_and_homothety():
     assert normalize_exponents((3, 5, 3)) == (0, 2, 0)
-    assert homothetic((1, 2), (4, 5))
-    assert not homothetic((1, 2), (2, 1))
-    assert not homothetic((1, 2), (1, 2, 3))
+    assert normalize_exponents((1, 2)) == normalize_exponents((4, 5))
+    assert normalize_exponents((1, 2)) != normalize_exponents((2, 1))
 
 
 def test_chain_face_canonicalizes_any_representative():
@@ -252,27 +238,6 @@ def test_square_lattice_matches_brute_maximization(x, num, den):
             assert mat[i][j] == brute_square_entry(x, t, i, j)
 
 
-def test_oriented_edge_known_cases():
-    assert oriented_edge((0, 0, 0), (1, 0, 0))
-    assert not oriented_edge((0, 0, 0), (1, 1, 0))
-    assert oriented_edge((1, 1, 0), (0, 0, 0))  # via the representative (1, 1, 1)
-    with pytest.raises(ValueError, match="not an edge"):
-        oriented_edge((0, 0), (1, 1))
-    with pytest.raises(ValueError):
-        oriented_edge((0, 0), (1, 0, 0))
-
-
-@given(chambers())
-def test_chamber_steps_form_an_oriented_cycle(ch):
-    assume(ch.size >= 2)  # a single line has no edges
-    steps = ch.steps
-    for l in range(len(steps) - 1):
-        assert oriented_edge(steps[l], steps[l + 1])
-        # the reverse inclusion has colength m - 1, an edge only when m = 2
-        assert oriented_edge(steps[l + 1], steps[l]) == (ch.size == 2)
-    assert oriented_edge(steps[-1], steps[0])
-
-
 def test_barycenter_known_values():
     ctx = ApartmentContext(7, 12)
     ch = chain_face([(0,) * 7, (1, 1, 0, 0, 0, 0, 0)])
@@ -327,6 +292,34 @@ def test_gap_class_shift_invariance_without_normalization():
         assert gap_class([v + c for v in vals]) == base
     with pytest.raises(ValueError):
         gap_class([])
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/3", True])
+def test_lattice_parameter_rejects_non_rationals(bad):
+    x = make_point(ApartmentContext(3, 2), [F(1, 3), F(1, 2), 0])
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        lattice_at(x, bad)
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        square_lattice_exponents(x, bad)
+    assert lattice_at(x, 1) == lattice_at(x, F(1))
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", True])
+def test_standard_chain_rejects_non_ints(bad):
+    with pytest.raises(ValueError, match="positive integers"):
+        standard_chain([bad, 2])
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", True])
+def test_chain_face_rejects_non_ints(bad):
+    with pytest.raises(ValueError, match="integer vectors"):
+        chain_face([(0, 0), (bad, 0)])
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", True])
+def test_normalize_exponents_rejects_non_ints(bad):
+    with pytest.raises(ValueError, match="must be integers"):
+        normalize_exponents([bad, 0])
 
 
 @pytest.mark.parametrize("bad", [0.1, "1/3", True])

@@ -160,7 +160,7 @@ def test_verify_report_survives_a_failed_write(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_report_probe_leaves_no_file_when_the_sweep_crashes(tmp_path, monkeypatch):
-    def crash(f, r, m):
+    def crash(*args):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "enumerate_data", crash)
@@ -197,21 +197,30 @@ def _raising(original):
     return geometric
 
 
+MISMATCH_SITES = [
+    ("local_type_direct", _off_direct, "integrality"),
+    ("complement", _off_complement, "complement-identity"),
+    ("local_type_geometric", _off_geometric, "pipeline-agreement"),
+    ("local_type_geometric", _raising, "exception"),
+]
+
+
+# At jobs 2 the failures come back from forked pool workers, which inherit
+# the monkeypatched route; only those cases carry the job count in their id.
 @pytest.mark.parametrize(
-    "name, mutate, site",
+    "name, mutate, site, jobs",
     [
-        ("local_type_direct", _off_direct, "integrality"),
-        ("complement", _off_complement, "complement-identity"),
-        ("local_type_geometric", _off_geometric, "pipeline-agreement"),
-        ("local_type_geometric", _raising, "exception"),
+        pytest.param(name, mutate, site, jobs, id=f"{name}-{mutate.__name__}-{site}{suffix}")
+        for jobs, suffix in (("1", ""), ("2", "-jobs2"))
+        for name, mutate, site in MISMATCH_SITES
     ],
 )
-def test_verifier_reports_each_mismatch_site(tmp_path, capsys, monkeypatch, name, mutate, site):
+def test_verifier_reports_each_mismatch_site(tmp_path, capsys, monkeypatch, name, mutate, site, jobs):
     monkeypatch.setattr(correspondence, name, mutate(getattr(correspondence, name)))
     path = tmp_path / "sweep.json"
     code, out, _ = run_cli(
         capsys, "verify", "--f-max", "2", "--r-max", "1", "--m-max", "2", "--fr-max", "2",
-        "--jobs", "1", "--report", str(path),
+        "--jobs", jobs, "--report", str(path),
     )
     assert code == 1
     # every datum fails, at the mutated site
@@ -230,7 +239,8 @@ def test_verifier_reports_each_mismatch_site(tmp_path, capsys, monkeypatch, name
 
 
 def test_parallel_output_matches_serial(capsys):
-    args = ("verify", "--f-max", "2", "--r-max", "2", "--m-max", "3", "--fr-max", "4")
+    # m up to 5 gives configurations that span several non-empty shards
+    args = ("verify", "--f-max", "3", "--r-max", "2", "--m-max", "5", "--fr-max", "6")
     code_a, out_a, _ = run_cli(capsys, *args)
     code_b, out_b, _ = run_cli(capsys, *args, "--jobs", "2")
     assert (code_a, out_a) == (code_b, out_b)

@@ -48,6 +48,28 @@ def test_canonical_rejects_bad_input():
         canonical((1, -1))
 
 
+@pytest.mark.parametrize("bad", [1.9, "1", True])
+def test_canonical_rejects_non_ints(bad):
+    with pytest.raises(ValueError, match="non-negative integers"):
+        canonical([bad, 0, 2])
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", True])
+def test_pairs_of_and_complement_reject_non_ints(bad):
+    with pytest.raises(ValueError, match="non-negative integers"):
+        pairs_of([bad, 0, 1])
+    with pytest.raises(ValueError, match="non-negative integers"):
+        complement([bad, 0, 1])
+
+
+@pytest.mark.parametrize("bad", [1.7, "1", True])
+def test_from_pairs_rejects_non_ints(bad):
+    with pytest.raises(ValueError, match="positive integers"):
+        from_pairs([(bad, 2)])
+    with pytest.raises(ValueError, match="positive integers"):
+        from_pairs([(2, bad)])
+
+
 @given(vectors)
 def test_canonical_matches_brute_force(v):
     c = canonical(v)

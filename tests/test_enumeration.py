@@ -58,6 +58,17 @@ def test_enumeration_is_sorted_and_duplicate_free(f, r, m):
         assert (d.f, d.r, d.m) == (f, r, m)
 
 
+def test_shards_by_first_entry_concatenate_to_the_enumeration():
+    for f, r, m in product(range(1, 4), range(1, 4), range(1, 6)):
+        shards = [list(enumerate_data(f, r, m, head)) for head in range(m + 1)]
+        assert [d for shard in shards for d in shard] == list(enumerate_data(f, r, m))
+        for head, shard in enumerate(shards):
+            assert all(flatten(d.rows)[0] == head for d in shard)
+    # with f * r = 1 the single entry is m, so only the last shard holds a datum
+    shards = [list(enumerate_data(1, 1, 3, head)) for head in range(4)]
+    assert shards == [[], [], [], [make_datum([(3,)], 1, 1, 3)]]
+
+
 def test_rejects_non_positive_sizes():
     with pytest.raises(ValueError):
         list(enumerate_data(0, 1, 1))
@@ -65,3 +76,7 @@ def test_rejects_non_positive_sizes():
         count_data(1, 0, 1)
     with pytest.raises(ValueError):
         count_data(1, 1, 0)
+    with pytest.raises(ValueError):
+        list(enumerate_data(2, 1, 3, 4))
+    with pytest.raises(ValueError):
+        list(enumerate_data(2, 1, 3, -1))
