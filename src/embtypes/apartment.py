@@ -31,6 +31,8 @@ class ApartmentContext:
     d: int
 
     def __post_init__(self) -> None:
+        if type(self.m) is not int or type(self.d) is not int:
+            raise ValueError("m and d must be integers")
         if self.m < 1 or self.d < 1:
             raise ValueError("m and d must be positive")
 
@@ -145,9 +147,13 @@ def _point(context: ApartmentContext, num: Sequence[int], den: int) -> Apartment
     """Point num / den (den >= 1), shifted so alpha_m = 0, in least terms."""
     if len(num) != context.m:
         raise ValueError("coordinate count must match the context")
-    shifted = [n - num[-1] for n in num]
-    g = gcd(den, *shifted)
-    return ApartmentPoint(context, tuple(n // g for n in shifted), den // g)
+    last = num[-1]
+    if last:
+        num = [n - last for n in num]
+    g = gcd(den, *num)
+    if g == 1:
+        return ApartmentPoint(context, tuple(num), den)
+    return ApartmentPoint(context, tuple(n // g for n in num), den // g)
 
 
 def _over_common_denominator(values: Sequence[Rational]) -> tuple[list[int], int]:
@@ -207,7 +213,9 @@ def chain_of_order(e: Sequence[Sequence[int]]) -> ChainFace:
     Column j (c_i = e_ij) is stable by the triangle inequality, and
     every step of the chain is a column up to homothety.
     """
-    mat = tuple(tuple(int(v) for v in row) for row in e)
+    mat = tuple(tuple(row) for row in e)
+    if any(type(v) is not int for row in mat for v in row):
+        raise ValueError("not a split hereditary order: entries must be integers")
     m = len(mat)
     if m == 0 or any(len(row) != m for row in mat):
         raise ValueError("not a split hereditary order: matrix must be square")
@@ -259,17 +267,23 @@ def barycenter(ch: ChainFace, context: ApartmentContext) -> ApartmentPoint:
     """Equal-weight average of the chain's vertex points."""
     if context.m != ch.size:
         raise ValueError("chain size must match the context")
-    sums = [sum(s[i] for s in ch.steps) for i in range(ch.size)]
-    return _point(context, sums, ch.period * context.d)
+    return _point(context, [sum(col) for col in zip(*ch.steps)], ch.period * context.d)
 
 
 def translate(x: ApartmentPoint, shift: Sequence[int]) -> ApartmentPoint:
-    """Translate by an integer exponent vector: alpha_i += shift_i / d."""
+    """Translate by an integer exponent vector: alpha_i += shift_i / d.
+
+    Every entry of the shift must be of type int.
+    """
     if len(shift) != x.context.m:
         raise ValueError("shift length must match the context")
     den = lcm(x.den, x.context.d)
     up, step = den // x.den, den // x.context.d
-    return _point(x.context, [n * up + int(s) * step for n, s in zip(x.num, shift)], den)
+    # an entry of another type drops out here and shortens num
+    num = [n * up + s * step for n, s in zip(x.num, shift) if type(s) is int]
+    if len(num) != x.context.m:
+        raise ValueError("shift entries must be integers")
+    return _point(x.context, num, den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,6 +307,8 @@ def _least_terms(ints: Sequence[int], den: int) -> LocalType:
     The entries sum to den, so their gcd divides den as well.
     """
     g = gcd(*ints)
+    if g == 1:
+        return LocalType(_least_rotation(tuple(ints)), den)
     return LocalType(_least_rotation(tuple(x // g for x in ints)), den // g)
 
 

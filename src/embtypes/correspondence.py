@@ -35,14 +35,24 @@ from .embedding import EmbeddingDatum, datum_to_json, make_datum, skeleton
 _standard_chain = lru_cache(maxsize=None)(standard_chain)
 
 
+@lru_cache(maxsize=None)
+def _unit_fractions(n: int) -> tuple[Fraction, ...]:
+    """(0/n, 1/n, ..., n/n), built once per n for the direct route.
+
+    Fractions are immutable, so every datum with f * r = n can share
+    them; the geometric route does not read this table.
+    """
+    return tuple(Fraction(k, n) for k in range(n + 1))
+
+
 def to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
     """Image of the point in the apartment of the degree-f centralizer.
 
     Coordinates are unchanged; the denominator shrinks from d to d / f,
     so in the affine chart this divides by f.
     """
-    if f < 1:
-        raise ValueError("f must be positive")
+    if type(f) is not int or f < 1:
+        raise ValueError("f must be a positive integer")
     if x.context.d % f:
         raise ValueError("not applicable: E must be unramified of degree dividing d")
     return ApartmentPoint(ApartmentContext(x.context.m, x.context.d // f), x.num, x.den)
@@ -50,8 +60,8 @@ def to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
 
 def from_centralizer(y: ApartmentPoint, f: int) -> ApartmentPoint:
     """Inverse direction: scale the denominator back up by f."""
-    if f < 1:
-        raise ValueError("f must be positive")
+    if type(f) is not int or f < 1:
+        raise ValueError("f must be a positive integer")
     return ApartmentPoint(ApartmentContext(y.context.m, y.context.d * f), y.num, y.den)
 
 
@@ -95,8 +105,9 @@ def local_type_direct(datum: EmbeddingDatum) -> tuple[Fraction, ...]:
     """
     ft = datum.f * datum.r
     a = [i for i, v in enumerate(flatten(datum.rows)) for _ in range(v)]
-    mu = [Fraction(ft - a[-1] + a[0], ft)]
-    mu.extend(Fraction(a[j] - a[j - 1], ft) for j in range(1, datum.m))
+    units = _unit_fractions(ft)
+    mu = [units[ft - a[-1] + a[0]]]
+    mu.extend(units[a[j] - a[j - 1]] for j in range(1, datum.m))
     return tuple(mu)
 
 

@@ -32,11 +32,20 @@ def rotate(entries: Sequence[int], k: int) -> Vec:
 def _least_rotation(items: tuple) -> tuple:
     """Lexicographically least rotation of a nonempty tuple; no validation.
 
-    A least rotation starts at a least entry, so only those starts are
-    tried.
+    A least rotation starts a maximal run of the least entry, so only
+    those starts are tried: a start inside a run is never least, since
+    the rotation from the run's start has more leading minima.  The
+    tuple itself is the first candidate, so with all entries equal, and
+    no run start, it comes back as it is.
     """
     low = min(items)
-    return min(items[k:] + items[:k] for k, e in enumerate(items) if e == low)
+    best = items
+    for k, e in enumerate(items):
+        if e == low and items[k - 1] != low:
+            rot = items[k:] + items[:k]
+            if rot < best:
+                best = rot
+    return best
 
 
 @dataclass(frozen=True, slots=True)

@@ -58,14 +58,20 @@ def skeleton(datum: EmbeddingDatum) -> PearlSkeleton:
     """Partition and levels of the datum.
 
     Column j contributes its sum to the partition and, scanning its
-    rows upward, repeats level i exactly rows[i][j] times.
+    rows upward, repeats level i exactly rows[i][j] times.  The rows
+    must form an f x r matrix: the columns are read with zip, which
+    would silently cut longer rows down to the shortest.
     """
-    partition = tuple(sum(row[j] for row in datum.rows) for j in range(datum.r))
+    rows = datum.rows
+    if len(rows) != datum.f or set(map(len, rows)) != {datum.r}:
+        raise ValueError(f"expected a {datum.f}x{datum.r} matrix")
+    cols = tuple(zip(*rows))
     levels = []
-    for j in range(datum.r):
-        for i in range(datum.f):
-            levels.extend([i] * datum.rows[i][j])
-    return PearlSkeleton(partition, tuple(levels))
+    for col in cols:
+        for i, v in enumerate(col):
+            if v:
+                levels.extend([i] * v)
+    return PearlSkeleton(tuple(map(sum, cols)), tuple(levels))
 
 
 def datum_to_json(datum: EmbeddingDatum) -> dict:

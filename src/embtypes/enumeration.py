@@ -2,26 +2,32 @@
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import comb
+from operator import sub
 from typing import Iterator
 
 from .embedding import EmbeddingDatum
 
 
-def _weak_compositions(total: int, parts: int) -> Iterator[list[int]]:
+def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Non-negative integer vectors of the given length and sum.
 
     Ascending lexicographic order on the vectors; no parts give the
-    empty vector when the total is 0 and nothing otherwise.
+    empty vector when the total is 0 and nothing otherwise.  Stars and
+    bars: the cuts 0 <= c_1 <= ... <= c_{parts-1} <= total give the
+    vector (c_1, c_2 - c_1, ..., total - c_{parts-1}), and itertools
+    yields the cuts in ascending lexicographic order, hence the vectors
+    too (Knuth, TAOCP 7.2.1.3).
     """
     if parts <= 1:
         # one part takes the whole total; no parts hold only a total of 0
         if parts == 1 or total == 0:
-            yield [total] * parts
+            yield (total,) * parts
         return
-    for head in range(total + 1):
-        for tail in _weak_compositions(total - head, parts - 1):
-            yield [head] + tail
+    end = (total,)
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + end, (0,) + cuts))
 
 
 def enumerate_data(f: int, r: int, m: int, head: int | None = None) -> Iterator[EmbeddingDatum]:
@@ -41,10 +47,9 @@ def enumerate_data(f: int, r: int, m: int, head: int | None = None) -> Iterator[
     n = f * r
     for h in range(m + 1) if head is None else (head,):
         for tail in _weak_compositions(m - h, n - 1):
-            flat = [h] + tail
-            if any(not any(flat[j::r]) for j in range(r)):
-                continue
-            yield EmbeddingDatum(f, r, m, tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(f)))
+            rows = tuple(zip(*[iter((h,) + tail)] * r))
+            if all(map(any, zip(*rows))):
+                yield EmbeddingDatum(f, r, m, rows)
 
 
 def count_data(f: int, r: int, m: int) -> int:

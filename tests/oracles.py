@@ -36,6 +36,31 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(out)
 
 
+def skeleton_of(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Partition and levels of a matrix, from the definition.
+
+    Column j sums to rows[0][j] + ... + rows[f-1][j]; scanning column j
+    from row 0 upward, the level i is listed rows[i][j] times.
+    """
+    f, r = len(rows), len(rows[0])
+    partition = tuple(sum(rows[i][j] for i in range(f)) for j in range(r))
+    levels = []
+    for j in range(r):
+        for i in range(f):
+            levels.extend([i] * rows[i][j])
+    return partition, tuple(levels)
+
+
+def barycenter_alpha(steps: Sequence[Sequence[int]], d: int) -> tuple[Fraction, ...]:
+    """Chart coordinates of the mean of the vertex points c^(l) / d.
+
+    The mean is taken coordinatewise in Fractions, then shifted by its
+    last coordinate so that alpha_m = 0.
+    """
+    mean = [sum(Fraction(s[i], d) for s in steps) / len(steps) for i in range(len(steps[0]))]
+    return tuple(v - mean[-1] for v in mean)
+
+
 def row_classes(s: int, t: int) -> set[tuple[int, ...]]:
     """Rotation classes of length-s vectors summing to t, by enumeration."""
     return {least_rotation(v) for v in weak_compositions(t, s)}

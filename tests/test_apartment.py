@@ -31,7 +31,15 @@ from embtypes.apartment import (
 )
 from embtypes.correspondence import to_centralizer
 from embtypes.cyclic import canonical
-from oracles import brute_square_entry, chains_with_base, chamber_coordinates, class_of_fractions
+from embtypes.embedding import skeleton
+from embtypes.enumeration import enumerate_data
+from oracles import (
+    barycenter_alpha,
+    brute_square_entry,
+    chains_with_base,
+    chamber_coordinates,
+    class_of_fractions,
+)
 
 F = Fraction
 
@@ -64,6 +72,12 @@ def test_context_validation():
         ApartmentContext(0, 1)
     with pytest.raises(ValueError):
         ApartmentContext(3, 0)
+
+
+@pytest.mark.parametrize("m, d", [(2, 1.5), (True, True), (2.0, 1), (2, F(2)), ("2", 1)])
+def test_context_rejects_non_ints(m, d):
+    with pytest.raises(ValueError, match="must be integers"):
+        ApartmentContext(m, d)
 
 
 def test_make_point_normalizes_last_coordinate():
@@ -195,6 +209,13 @@ def test_chain_of_order_rejects_non_orders():
         chain_of_order(((0, 0), (0, 0), (0, 0)))
 
 
+@pytest.mark.parametrize("e", [((0, 0.9), (0.2, 0)), ((0, True), (0, 0)), ((0, "1"), (0, 0))])
+def test_chain_of_order_rejects_non_ints(e):
+    # int() used to truncate these to a valid order
+    with pytest.raises(ValueError, match="entries must be integers"):
+        chain_of_order(e)
+
+
 @given(chains())
 def test_chain_order_round_trip(ch):
     assert chain_of_order(order_of_chain(ch)) == ch
@@ -250,6 +271,16 @@ def test_barycenter_known_values():
         barycenter(edge, ApartmentContext(3, 1))
 
 
+def test_barycenter_matches_the_mean_of_the_steps_on_every_small_datum():
+    for f in range(1, 4):
+        for r in range(1, 4):
+            for m in range(1, 6):
+                for datum in enumerate_data(f, r, m):
+                    ch = standard_chain(skeleton(datum).partition)
+                    x = barycenter(ch, ApartmentContext(m, f * r))
+                    assert x.alpha == barycenter_alpha(ch.steps, f * r)
+
+
 @given(chains(), st.integers(1, 6))
 def test_face_of_barycenter_returns_the_chain(ch, d):
     ctx = ApartmentContext(ch.size, d)
@@ -260,6 +291,14 @@ def test_translate_known_values():
     x = make_point(ApartmentContext(2, 12), [0, 0])
     assert translate(x, (1, 0)).alpha == (F(1, 12), 0)
     assert translate(x, (3, 3)) == x
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, F(1), "1"])
+def test_translate_rejects_non_int_shifts(bad):
+    # int() used to truncate these, so translate(x, [0.5, 0]) left x unmoved
+    x = make_point(ApartmentContext(2, 12), [0, 0])
+    with pytest.raises(ValueError, match="shift entries must be integers"):
+        translate(x, [bad, 0])
 
 
 @given(

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import cProfile
+import pstats
 from fractions import Fraction as F
+from itertools import product
 from math import ceil, lcm
 
 import pytest
@@ -77,6 +80,16 @@ def test_to_centralizer_rejects_bad_degrees():
         to_centralizer(x, 0)
 
 
+@pytest.mark.parametrize("bad", [2.0, True, F(2)])
+def test_centralizer_maps_reject_non_int_degrees(bad):
+    # to_centralizer(x, 2.0) used to give a context with d = 2.0
+    x = make_point(ApartmentContext(2, 4), [F(1, 2), 0])
+    with pytest.raises(ValueError, match="positive integer"):
+        to_centralizer(x, bad)
+    with pytest.raises(ValueError, match="positive integer"):
+        from_centralizer(x, bad)
+
+
 @given(points_with_degree())
 def test_centralizer_round_trips(pair):
     x, f = pair
@@ -137,6 +150,35 @@ def test_direct_coordinates_small_cases():
     assert local_type_direct(make_datum([(1,)], 1, 1, 1)) == (1,)
     assert local_type_direct(make_datum([(1,), (1,)], 2, 1, 2)) == (F(1, 2), F(1, 2))
     assert local_type_direct(make_datum([(0, 1), (1, 0)], 2, 2, 2)) == (F(3, 4), F(1, 4))
+
+
+def test_direct_coordinates_match_the_counting_formula_on_every_small_datum():
+    for f, r, m in product(range(1, 4), range(1, 4), range(1, 6)):
+        ft = f * r
+        for datum in enumerate_data(f, r, m):
+            a = [i for i, v in enumerate(flatten(datum.rows)) for _ in range(v)]
+            expected = [F(ft - a[-1] + a[0], ft)] + [F(a[j] - a[j - 1], ft) for j in range(1, m)]
+            mu = local_type_direct(datum)
+            assert mu == tuple(expected)
+            assert all(type(v) is F for v in mu)
+
+
+def test_verifier_builds_no_fraction_once_warm():
+    # the direct route shares its Fractions per f * r, and nothing else builds one
+    data = [d for f, r, m in product(range(1, 4), range(1, 4), range(1, 6)) for d in enumerate_data(f, r, m)]
+    for datum in {d.f * d.r: d for d in data}.values():
+        verify_correspondence(datum)
+    prof = cProfile.Profile()
+    prof.enable()
+    reports = [verify_correspondence(d) for d in data]
+    prof.disable()
+    assert all(report.verdict for report in reports)
+    built = sum(
+        calls
+        for (path, _, func), (_, calls, *_rest) in pstats.Stats(prof).stats.items()
+        if func == "__new__" and path.endswith("fractions.py")
+    )
+    assert built == 0
 
 
 @given(data())

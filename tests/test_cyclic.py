@@ -86,8 +86,13 @@ def test_canonical_matches_brute_force(v):
 @example([3, 3, 3, 3])
 @example([0, 1, 0, 1, 0, 0])
 @example([(1, 2), (1, 1), (1, 2), (1, 1)])
+@example([0, 1, 0, 0, 2, 0])
+@example([0, 0, 1, 0, 0, 1, 0])
+@example([2, 0, 0, 1, 0])
+@example([7])
 def test_least_rotation_is_the_min_over_all_rotations(v):
-    # repeated minima and all-equal vectors included
+    # repeated minima, runs of minima that wrap past the end and
+    # all-equal vectors included
     assert _least_rotation(tuple(v)) == min(all_rotations(v))
 
 

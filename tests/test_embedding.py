@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from embtypes.embedding import (
     skeleton,
 )
 from embtypes.enumeration import enumerate_data
+from oracles import skeleton_of
 
 WORKED_ROWS = ((1, 0), (1, 3), (0, 0), (0, 1), (0, 1), (0, 0))
 
@@ -74,6 +77,24 @@ def test_skeleton_of_the_worked_matrix():
 def test_skeleton_small_cases():
     assert skeleton(make_datum([(4,)], 1, 1, 4)) == PearlSkeleton((4,), (0, 0, 0, 0))
     assert skeleton(make_datum([(1,), (1,)], 2, 1, 2)) == PearlSkeleton((2,), (0, 1))
+
+
+def test_skeleton_matches_the_definition_on_every_small_datum():
+    for f, r, m in product(range(1, 4), range(1, 4), range(1, 6)):
+        for datum in enumerate_data(f, r, m):
+            sk = skeleton(datum)
+            assert (sk.partition, sk.levels) == skeleton_of(datum.rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((1, 1), (1,)), ((1, 1, 0), (1, 0, 0)), ((1, 1),), ((1, 1), (1, 0), (0, 0))],
+    ids=["short-row", "long-rows", "too-few-rows", "too-many-rows"],
+)
+def test_skeleton_rejects_rows_that_are_not_f_by_r(rows):
+    # a hand-built datum skips make_datum, so skeleton checks the shape itself
+    with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        skeleton(EmbeddingDatum(2, 2, 3, rows))
 
 
 @given(data())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from embtypes.cyclic import flatten
 from embtypes.embedding import make_datum
-from embtypes.enumeration import count_data, enumerate_data
+from embtypes.enumeration import _weak_compositions, count_data, enumerate_data
 
 
 def test_single_cell_pool():
@@ -67,6 +67,14 @@ def test_shards_by_first_entry_concatenate_to_the_enumeration():
     # with f * r = 1 the single entry is m, so only the last shard holds a datum
     shards = [list(enumerate_data(1, 1, 3, head)) for head in range(4)]
     assert shards == [[], [], [], [make_datum([(3,)], 1, 1, 3)]]
+
+
+def test_weak_compositions_match_brute_force():
+    # p = 0 gives the empty vector for t = 0 only, p = 1 the single vector (t,)
+    for t in range(7):
+        for p in range(6):
+            expected = sorted(v for v in product(range(t + 1), repeat=p) if sum(v) == t)
+            assert list(_weak_compositions(t, p)) == expected
 
 
 def test_rejects_non_positive_sizes():
