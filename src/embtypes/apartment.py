@@ -193,9 +193,9 @@ def face_of(x: ApartmentPoint) -> ChainFace:
     parameter), so the distinct thresholds give one step each and the
     period is the number of distinct fractional parts of d * alpha.
     """
-    scaled = [x.context.d * n for n in x.num]
-    thetas = sorted({-v % x.den for v in scaled})
-    return chain_face([tuple(-((-th - v) // x.den) for v in scaled) for th in thetas])
+    d, den = x.context.d, x.den
+    thetas = sorted({-d * n % den for n in x.num})
+    return chain_face([lattice_at(x, Fraction(th, d * den)) for th in thetas])
 
 
 def order_of_chain(ch: ChainFace) -> tuple[Exponents, ...]:
@@ -239,28 +239,26 @@ def chain_of_order(e: Sequence[Sequence[int]]) -> ChainFace:
 
 
 def invariant_of(ch: ChainFace) -> tuple[int, CyclicClass]:
-    """Period and jump-count class: how many coordinates move at each step."""
-    r = ch.period
-    m = ch.size
-    counts = [
-        sum(ch.steps[l][i] - ch.steps[l - 1][i] for i in range(m)) for l in range(1, r)
-    ]
-    counts.append(sum(ch.steps[0][i] + 1 - ch.steps[r - 1][i] for i in range(m)))
-    return r, canonical(counts)
+    """Period and jump-count class: how many coordinates move at each step.
+
+    Each coordinate rises by 0 or 1 per step, so a jump count is the
+    difference of consecutive step sums; the wrap adds the size.
+    """
+    sums = [sum(s) for s in ch.steps]
+    counts = [b - a for a, b in zip(sums, sums[1:])]
+    counts.append(sums[0] + ch.size - sums[-1])
+    return ch.period, canonical(counts)
 
 
 def square_lattice_exponents(x: ApartmentPoint, t: Rational) -> tuple[Exponents, ...]:
     """Exponent matrix of the square lattice the point selects at t.
 
     Entry (i, j) is ceil(d * (t + alpha_i - alpha_j)), the largest value
-    of c_i(s + t) - c_j(s) over all s; t is an int or a Fraction.
+    of c_i(s + t) - c_j(s) over all s; t is an int or a Fraction.  So
+    column j is the lattice the point selects at t - alpha_j.
     """
     tt = _parameter(t)
-    d, q = x.context.d, tt.denominator * x.den
-    base = tt.numerator * x.den
-    return tuple(
-        tuple(-(-d * (base + (ni - nj) * tt.denominator) // q) for nj in x.num) for ni in x.num
-    )
+    return tuple(zip(*(lattice_at(x, tt - Fraction(n, x.den)) for n in x.num)))
 
 
 def barycenter(ch: ChainFace, context: ApartmentContext) -> ApartmentPoint:

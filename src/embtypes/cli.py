@@ -33,8 +33,9 @@ class VerifyRange:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if min(self.f_max, self.r_max, self.m_max, self.fr_max, self.jobs) < 1:
-            raise ValueError("all bounds must be positive")
+        bounds = (self.f_max, self.r_max, self.m_max, self.fr_max, self.jobs)
+        if any(type(v) is not int or v < 1 for v in bounds):
+            raise ValueError("all bounds must be positive integers")
 
     def configurations(self):
         for f in range(1, self.f_max + 1):

@@ -24,6 +24,7 @@ from .apartment import (
     barycenter,
     coordinate_class,
     local_type,
+    square_lattice_exponents,
     standard_chain,
     translate,
 )
@@ -72,26 +73,16 @@ def intersection_property(x: ApartmentPoint, f: int) -> bool:
     the square lattice of the image at t for every t.  Both sides are
     step functions of t whose jumps lie on a known rational grid, so
     sampling half steps over one period decides the identity for all t.
-    The matrices are evaluated by integer ceiling division, which is
-    what square_lattice_exponents computes at these t.
     """
-    d = x.context.d
-    m = x.context.m
-    small = to_centralizer(x, f).context.d
-    q = 2 * lcm(d, x.den)
-    # den divides q, so q * delta_ij is an integer
-    s = q // x.den
-    big_num = [[s * d * (ni - nj) for nj in x.num] for ni in x.num]
-    small_num = [[s * small * (ni - nj) for nj in x.num] for ni in x.num]
+    y = to_centralizer(x, f)
+    q = 2 * lcm(x.context.d, x.den)
     # one period of the image side: t in [0, f/d), i.e. k < q * f / d
-    for k in range(q * f // d):
-        for i in range(m):
-            row_b, row_s = big_num[i], small_num[i]
-            for j in range(m):
-                left = -((-(d * k + row_b[j])) // q)
-                right = -((-(small * k + row_s[j])) // q)
-                if -((-left) // f) != right:
-                    return False
+    for k in range(q * f // x.context.d):
+        t = Fraction(k, q)
+        big = flatten(square_lattice_exponents(x, t))
+        small = flatten(square_lattice_exponents(y, t))
+        if any(-(-e // f) != s for e, s in zip(big, small)):
+            return False
     return True
 
 
@@ -133,8 +124,8 @@ def embedding_type_from_local(mu: LocalType, f: int, r: int) -> EmbeddingDatum:
     Scale the class to f * r, complement, and cut into f rows; the
     result is one representative of the matrix class.
     """
-    if f < 1 or r < 1:
-        raise ValueError("f and r must be positive")
+    if any(type(v) is not int or v < 1 for v in (f, r)):
+        raise ValueError("f and r must be positive integers")
     if (f * r) % mu.denominator:
         raise ValueError(f"not a local type for ({f},{r})")
     scale = f * r // mu.denominator

@@ -72,11 +72,9 @@ def canonical(entries: Sequence[int] | CyclicClass) -> CyclicClass:
     """
     if isinstance(entries, CyclicClass):
         return entries
-    v = tuple(entries)
+    v = _vector(entries)
     if not v:
         raise ValueError("empty vector has no rotation class")
-    if any(type(e) is not int or e < 0 for e in v):
-        raise ValueError("entries must be non-negative integers")
     return CyclicClass(_least_rotation(v))
 
 
@@ -183,13 +181,11 @@ def make_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
     Entries must be of type int exactly: bools, floats and strings are
     rejected rather than converted.
     """
-    tup = tuple(tuple(r) for r in rows)
+    tup = tuple(map(_vector, rows))
     if not tup or not tup[0]:
         raise ValueError("matrix must be nonempty")
     if any(len(r) != len(tup[0]) for r in tup):
         raise ValueError("ragged matrix")
-    if any(type(e) is not int or e < 0 for r in tup for e in r):
-        raise ValueError("entries must be non-negative integers")
     return tup
 
 
@@ -206,8 +202,8 @@ def reshape(entries: Sequence[int] | CyclicClass, nrows: int, ncols: int) -> Mat
     """
     v = canonical(entries).vector
     s = len(v)
-    if nrows <= 0 or ncols <= 0:
-        raise ValueError("matrix dimensions must be positive")
+    if any(type(v) is not int or v < 1 for v in (nrows, ncols)):
+        raise ValueError("matrix dimensions must be positive integers")
     if s != nrows * ncols:
         raise ValueError(f"cannot reshape length {s} into {nrows}x{ncols}")
     for k in range(s):

@@ -26,7 +26,9 @@ class EmbeddingDatum:
 
 
 def make_datum(rows: Sequence[Sequence[int]], f: int, r: int, m: int) -> EmbeddingDatum:
-    """Validated embedding datum."""
+    """Validated embedding datum; f, r, m and the entries must be integers."""
+    if any(type(v) is not int or v < 1 for v in (f, r, m)):
+        raise ValueError("f, r and m must be positive integers")
     mat = make_matrix(rows)
     if len(mat) != f or len(mat[0]) != r:
         raise ValueError(f"expected a {f}x{r} matrix, got {len(mat)}x{len(mat[0])}")
@@ -80,8 +82,5 @@ def datum_to_json(datum: EmbeddingDatum) -> dict:
 
 
 def datum_from_json(obj: dict) -> EmbeddingDatum:
-    """Datum from its wire form; f, r, m and the entries must be integers."""
-    f, r, m = obj["f"], obj["r"], obj["m"]
-    if any(type(v) is not int for v in (f, r, m)):
-        raise ValueError("f, r and m must be integers")
-    return make_datum(obj["rows"], f, r, m)
+    """Datum from its wire form; make_datum checks every field."""
+    return make_datum(obj["rows"], obj["f"], obj["r"], obj["m"])

@@ -18,12 +18,11 @@ def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     bars: the cuts 0 <= c_1 <= ... <= c_{parts-1} <= total give the
     vector (c_1, c_2 - c_1, ..., total - c_{parts-1}), and itertools
     yields the cuts in ascending lexicographic order, hence the vectors
-    too (Knuth, TAOCP 7.2.1.3).
+    too (Knuth, TAOCP 7.2.1.3).  One part has one empty cut: (total,).
     """
-    if parts <= 1:
-        # one part takes the whole total; no parts hold only a total of 0
-        if parts == 1 or total == 0:
-            yield (total,) * parts
+    if not parts:
+        if total == 0:
+            yield ()
         return
     end = (total,)
     for cuts in combinations_with_replacement(range(total + 1), parts - 1):
@@ -40,10 +39,10 @@ def enumerate_data(f: int, r: int, m: int, head: int | None = None) -> Iterator[
     zero-column filter already make every datum valid, so none goes
     through make_datum.
     """
-    if f < 1 or r < 1 or m < 1:
-        raise ValueError("f, r and m must be positive")
-    if head is not None and not 0 <= head <= m:
-        raise ValueError("head must lie in 0..m")
+    if any(type(v) is not int or v < 1 for v in (f, r, m)):
+        raise ValueError("f, r and m must be positive integers")
+    if head is not None and (type(head) is not int or not 0 <= head <= m):
+        raise ValueError("head must be an integer in 0..m")
     n = f * r
     for h in range(m + 1) if head is None else (head,):
         for tail in _weak_compositions(m - h, n - 1):
@@ -54,8 +53,8 @@ def enumerate_data(f: int, r: int, m: int, head: int | None = None) -> Iterator[
 
 def count_data(f: int, r: int, m: int) -> int:
     """Size of M(f, r; m), by inclusion and exclusion over empty columns."""
-    if f < 1 or r < 1 or m < 1:
-        raise ValueError("f, r and m must be positive")
+    if any(type(v) is not int or v < 1 for v in (f, r, m)):
+        raise ValueError("f, r and m must be positive integers")
     total = 0
     for j in range(r + 1):
         parts = f * (r - j)

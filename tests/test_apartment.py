@@ -39,6 +39,7 @@ from oracles import (
     chains_with_base,
     chamber_coordinates,
     class_of_fractions,
+    least_rotation,
 )
 
 F = Fraction
@@ -234,6 +235,19 @@ def test_invariant_of_known_chains():
     assert invariant_of(standard_chain((5,))) == (1, canonical((5,)))
     chamber = face_of(make_point(ApartmentContext(3, 1), [F(2, 3), F(1, 3), 0]))
     assert invariant_of(chamber) == (3, canonical((1, 1, 1)))
+
+
+def test_invariant_of_counts_the_jumps_of_every_small_chain():
+    # the jump count of step l, coordinate by coordinate; the wrap adds 1 to c^(0)
+    for m in range(1, 6):
+        for steps in chains_with_base(m, [0] * m):
+            ch = chain_face(steps)
+            s, r = ch.steps, ch.period
+            counts = [sum(s[l][i] - s[l - 1][i] for i in range(m)) for l in range(1, r)]
+            counts.append(sum(s[0][i] + 1 - s[r - 1][i] for i in range(m)))
+            period, cls = invariant_of(ch)
+            assert period == r
+            assert cls.vector == least_rotation(counts)
 
 
 def test_square_lattice_known_values():

@@ -16,8 +16,10 @@ import pytest
 from embtypes import cli, correspondence
 from embtypes.apartment import LocalType
 from embtypes.cli import VerifyRange, main, run_verify
+from embtypes.correspondence import embedding_type_from_local
+from embtypes.cyclic import reshape
 from embtypes.embedding import data_equivalent, datum_from_json, make_datum
-from embtypes.enumeration import count_data
+from embtypes.enumeration import count_data, enumerate_data
 
 REPO = Path(__file__).resolve().parents[1]
 WORKED_JSON = '{"f": 6, "r": 2, "m": 7, "rows": [[1,0],[1,3],[0,0],[0,1],[0,1],[0,0]]}'
@@ -276,6 +278,25 @@ def test_verify_range_rejects_bad_bounds():
         VerifyRange(1, 1, 1, 0)
     with pytest.raises(ValueError):
         VerifyRange(1, 1, 1, 1, jobs=0)
+
+
+# each call used to pass a bool or a float size through, or crash with TypeError
+NON_INT_SIZES = {
+    "enumerate_data-head": lambda: list(enumerate_data(1, 1, 2, 2.0)),
+    "enumerate_data-f": lambda: list(enumerate_data(True, 1, 1)),
+    "count_data": lambda: count_data(1, True, 1),
+    "make_datum": lambda: make_datum([[1]], True, True, True),
+    "reshape": lambda: reshape([1, 1], 2.0, 1),
+    "embedding_type_from_local": lambda: embedding_type_from_local(LocalType((1,), 1), True, 1),
+    "VerifyRange": lambda: VerifyRange(1.5, 1, 1, 1),
+    "VerifyRange-jobs": lambda: VerifyRange(1, 1, 1, 1, jobs=True),
+}
+
+
+@pytest.mark.parametrize("call", NON_INT_SIZES.values(), ids=NON_INT_SIZES.keys())
+def test_public_entry_points_reject_non_int_sizes(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
 
 
 def test_python_m_embtypes():

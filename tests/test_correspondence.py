@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cProfile
 import pstats
+import random
 from fractions import Fraction as F
 from itertools import product
 from math import ceil, lcm
@@ -37,6 +38,7 @@ from embtypes.correspondence import (
 )
 from embtypes.embedding import data_equivalent, make_datum, skeleton
 from embtypes.enumeration import enumerate_data
+from oracles import brute_square_entry
 
 WORKED = make_datum(((1, 0), (1, 3), (0, 0), (0, 1), (0, 1), (0, 0)), 6, 2, 7)
 WORKED_MU = tuple(F(n, 12) for n in (3, 2, 1, 0, 0, 4, 2))
@@ -139,6 +141,24 @@ def test_intersection_property_matches_the_literal_identity(pair):
     x, f = pair
     assert intersection_property(x, f)
     assert literal_intersection(x, f)
+
+
+def test_intersection_identity_holds_by_brute_force():
+    # both sides by the maximization oracle, which shares no code with the library
+    rng = random.Random(59)
+    for _ in range(20):
+        f = rng.choice((2, 3, 4, 6))
+        d = f * rng.randint(1, 24 // f)
+        m = rng.randint(1, 3)
+        den = rng.choice((1, 2, 3, 4, 6, 8, 12, 24))
+        x = make_point(ApartmentContext(m, d), [F(rng.randint(-2 * den, 2 * den), den) for _ in range(m)])
+        y = to_centralizer(x, f)
+        grid = 2 * lcm(d, den)
+        for k in range(grid * f // d):
+            t = F(k, grid)
+            for i, j in product(range(m), repeat=2):
+                assert ceil(F(brute_square_entry(x, t, i, j), f)) == brute_square_entry(y, t, i, j)
+        assert intersection_property(x, f)
 
 
 def test_direct_coordinates_of_the_worked_datum():
