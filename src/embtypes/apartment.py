@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .cyclic import CyclicClass, _least_rotation, canonical
+from .cyclic import CyclicClass, _ints, _least_rotation, canonical, flatten
 
 Exponents = tuple[int, ...]
 Rational = Fraction | int
@@ -31,19 +31,16 @@ class ApartmentContext:
     d: int
 
     def __post_init__(self) -> None:
-        if type(self.m) is not int or type(self.d) is not int:
-            raise ValueError("m and d must be integers")
+        _ints((self.m, self.d), "m and d must be integers")
         if self.m < 1 or self.d < 1:
             raise ValueError("m and d must be positive")
 
 
 def normalize_exponents(c: Sequence[int]) -> Exponents:
     """Shift so the least entry is 0, fixing a homothety representative."""
-    v = tuple(c)
+    v = _ints(c, "exponents must be integers")
     if not v:
         raise ValueError("empty exponent vector")
-    if any(type(x) is not int for x in v):
-        raise ValueError("exponents must be integers")
     low = min(v)
     return tuple(x - low for x in v)
 
@@ -78,8 +75,7 @@ def chain_face(steps: Sequence[Sequence[int]]) -> ChainFace:
     raw = tuple(tuple(s) for s in steps)
     if not raw or not raw[0]:
         raise ValueError("a chain needs at least one step")
-    if any(type(x) is not int for s in raw for x in s):
-        raise ValueError("steps must be integer vectors")
+    _ints(flatten(raw), "steps must be integer vectors")
     m = len(raw[0])
     if any(len(s) != m for s in raw):
         raise ValueError("steps must share one length")
@@ -109,9 +105,10 @@ def standard_chain(composition: Sequence[int]) -> ChainFace:
     the number of blocks and the jump counts are exactly the given
     composition.
     """
-    parts = tuple(composition)
-    if not parts or any(type(n) is not int or n <= 0 for n in parts):
-        raise ValueError("composition entries must be positive integers")
+    message = "composition entries must be positive integers"
+    parts = _ints(composition, message, 1)
+    if not parts:
+        raise ValueError(message)
     m = sum(parts)
     cur = [0] * m
     steps = [tuple(cur)]
@@ -156,34 +153,27 @@ def _point(context: ApartmentContext, num: Sequence[int], den: int) -> Apartment
     return ApartmentPoint(context, tuple(n // g for n in num), den // g)
 
 
-def _over_common_denominator(values: Sequence[Rational]) -> tuple[list[int], int]:
+def _over_common_denominator(values: Sequence[Rational], message: str) -> tuple[list[int], int]:
     """Numerators of int or Fraction values over their least common denominator.
 
-    Any other type, bool, float and str included, raises ValueError.
+    Any other type, bool, float and str included, raises ValueError(message).
     """
     if any(type(v) not in (int, Fraction) for v in values):
-        raise ValueError("coordinates must be ints or Fractions")
+        raise ValueError(message)
     den = lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def make_point(context: ApartmentContext, values: Sequence[Rational]) -> ApartmentPoint:
     """Point with the given int or Fraction chart coordinates, normalized so alpha_m = 0."""
-    return _point(context, *_over_common_denominator(values))
-
-
-def _parameter(t: Rational) -> Fraction:
-    """t as a Fraction; any type but int and Fraction raises ValueError, as in make_point."""
-    if type(t) not in (int, Fraction):
-        raise ValueError("the parameter t must be an int or a Fraction")
-    return Fraction(t)
+    return _point(context, *_over_common_denominator(values, "coordinates must be ints or Fractions"))
 
 
 def lattice_at(x: ApartmentPoint, t: Rational) -> Exponents:
     """Exponent vector of the lattice the point selects at an int or Fraction t."""
-    tt = _parameter(t)
-    d, q = x.context.d, tt.denominator * x.den
-    return tuple(-(-d * (tt.numerator * x.den + n * tt.denominator) // q) for n in x.num)
+    (p,), s = _over_common_denominator((t,), "the parameter t must be an int or a Fraction")
+    d, q = x.context.d, s * x.den
+    return tuple(-(-d * (p * x.den + n * s) // q) for n in x.num)
 
 
 def face_of(x: ApartmentPoint) -> ChainFace:
@@ -214,8 +204,7 @@ def chain_of_order(e: Sequence[Sequence[int]]) -> ChainFace:
     every step of the chain is a column up to homothety.
     """
     mat = tuple(tuple(row) for row in e)
-    if any(type(v) is not int for row in mat for v in row):
-        raise ValueError("not a split hereditary order: entries must be integers")
+    _ints(flatten(mat), "not a split hereditary order: entries must be integers")
     m = len(mat)
     if m == 0 or any(len(row) != m for row in mat):
         raise ValueError("not a split hereditary order: matrix must be square")
@@ -257,8 +246,8 @@ def square_lattice_exponents(x: ApartmentPoint, t: Rational) -> tuple[Exponents,
     of c_i(s + t) - c_j(s) over all s; t is an int or a Fraction.  So
     column j is the lattice the point selects at t - alpha_j.
     """
-    tt = _parameter(t)
-    return tuple(zip(*(lattice_at(x, tt - Fraction(n, x.den)) for n in x.num)))
+    (p,), s = _over_common_denominator((t,), "the parameter t must be an int or a Fraction")
+    return tuple(zip(*(lattice_at(x, Fraction(p * x.den - n * s, s * x.den)) for n in x.num)))
 
 
 def barycenter(ch: ChainFace, context: ApartmentContext) -> ApartmentPoint:
@@ -275,13 +264,10 @@ def translate(x: ApartmentPoint, shift: Sequence[int]) -> ApartmentPoint:
     """
     if len(shift) != x.context.m:
         raise ValueError("shift length must match the context")
+    shift = _ints(shift, "shift entries must be integers")
     den = lcm(x.den, x.context.d)
     up, step = den // x.den, den // x.context.d
-    # an entry of another type drops out here and shortens num
-    num = [n * up + s * step for n, s in zip(x.num, shift) if type(s) is int]
-    if len(num) != x.context.m:
-        raise ValueError("shift entries must be integers")
-    return _point(x.context, num, den)
+    return _point(x.context, [n * up + s * step for n, s in zip(x.num, shift)], den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,7 +312,7 @@ def coordinate_class(values: Sequence[Rational]) -> LocalType:
     Fractions summing to 1) into a LocalType comparable with gap_class
     output.
     """
-    ints, den = _over_common_denominator(values)
+    ints, den = _over_common_denominator(values, "coordinates must be ints or Fractions")
     if any(n < 0 for n in ints) or sum(ints) != den:
         raise ValueError("coordinates must be non-negative and sum to 1")
     return _least_terms(ints, den)

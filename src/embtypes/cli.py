@@ -17,7 +17,7 @@ from typing import Sequence, TextIO
 
 from .apartment import coordinate_class
 from .correspondence import embedding_type_from_local, report_to_json, verify_correspondence
-from .cyclic import canonical, complement, flatten, make_matrix, pairs_of
+from .cyclic import _ints, canonical, complement, flatten, make_matrix, pairs_of
 from .embedding import datum_from_json, datum_to_json
 from .enumeration import count_data, enumerate_data
 
@@ -34,8 +34,7 @@ class VerifyRange:
 
     def __post_init__(self) -> None:
         bounds = (self.f_max, self.r_max, self.m_max, self.fr_max, self.jobs)
-        if any(type(v) is not int or v < 1 for v in bounds):
-            raise ValueError("all bounds must be positive integers")
+        _ints(bounds, "all bounds must be positive integers", 1)
 
     def configurations(self):
         for f in range(1, self.f_max + 1):
@@ -92,6 +91,8 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     out = stream or sys.stdout
     if report_path is not None:
         # fail on an unwritable path now rather than after the whole sweep
+        if os.path.isdir(report_path):
+            raise IsADirectoryError(f"report path {report_path} is a directory")
         tmp = report_path + ".tmp"
         open(tmp, "a", encoding="utf-8").close()
         os.remove(tmp)
@@ -111,6 +112,10 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
                 configs.append({"f": f, "r": r, "m": m, "data": data, "fail": fail})
                 print(f"f={f} r={r} m={m} data={data} fail={fail}", file=out)
                 data = fail = 0
+    except BaseException:
+        if pool:
+            pool.terminate()  # stop the workers now, not after every queued shard
+        raise
     finally:
         if pool:
             pool.close()
@@ -138,19 +143,21 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     return 1 if failures else 0
 
 
-def _int_vector(text: str) -> list[int]:
+def _int_vector(text: str) -> tuple[int, ...]:
     data = json.loads(text)
-    if not isinstance(data, list) or not all(type(v) is int for v in data):
-        raise ValueError("expected a JSON array of integers")
-    return data
+    message = "expected a JSON array of integers"
+    if not isinstance(data, list):
+        raise ValueError(message)
+    return _ints(data, message)
 
 
 def _rational(v) -> Fraction:
-    if type(v) is int:
-        return Fraction(v)
-    if isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v) and v[1] != 0:
-        return Fraction(v[0], v[1])
-    raise ValueError("rationals are integers or [numerator, denominator] pairs with nonzero denominator")
+    message = "rationals are integers or [numerator, denominator] pairs with nonzero denominator"
+    # an integer n reads as the pair [n, 1]
+    pair = _ints(v if isinstance(v, list) else [v, 1], message)
+    if len(pair) != 2 or pair[1] == 0:
+        raise ValueError(message)
+    return Fraction(*pair)
 
 
 def _build_parser() -> argparse.ArgumentParser:

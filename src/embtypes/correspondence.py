@@ -21,14 +21,14 @@ from .apartment import (
     ApartmentContext,
     ApartmentPoint,
     LocalType,
+    _least_terms,
     barycenter,
-    coordinate_class,
     local_type,
     square_lattice_exponents,
     standard_chain,
     translate,
 )
-from .cyclic import CyclicClass, canonical, complement, flatten, reshape
+from .cyclic import CyclicClass, _ints, canonical, complement, flatten, reshape
 from .embedding import EmbeddingDatum, datum_to_json, make_datum, skeleton
 
 # The geometric route meets few partitions (98 over the whole gate range),
@@ -52,8 +52,7 @@ def to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
     Coordinates are unchanged; the denominator shrinks from d to d / f,
     so in the affine chart this divides by f.
     """
-    if type(f) is not int or f < 1:
-        raise ValueError("f must be a positive integer")
+    _ints((f,), "f must be a positive integer", 1)
     if x.context.d % f:
         raise ValueError("not applicable: E must be unramified of degree dividing d")
     return ApartmentPoint(ApartmentContext(x.context.m, x.context.d // f), x.num, x.den)
@@ -61,8 +60,7 @@ def to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
 
 def from_centralizer(y: ApartmentPoint, f: int) -> ApartmentPoint:
     """Inverse direction: scale the denominator back up by f."""
-    if type(f) is not int or f < 1:
-        raise ValueError("f must be a positive integer")
+    _ints((f,), "f must be a positive integer", 1)
     return ApartmentPoint(ApartmentContext(y.context.m, y.context.d * f), y.num, y.den)
 
 
@@ -124,8 +122,7 @@ def embedding_type_from_local(mu: LocalType, f: int, r: int) -> EmbeddingDatum:
     Scale the class to f * r, complement, and cut into f rows; the
     result is one representative of the matrix class.
     """
-    if any(type(v) is not int or v < 1 for v in (f, r)):
-        raise ValueError("f and r must be positive integers")
+    _ints((f, r), "f and r must be positive integers", 1)
     if (f * r) % mu.denominator:
         raise ValueError(f"not a local type for ({f},{r})")
     scale = f * r // mu.denominator
@@ -160,10 +157,12 @@ def verify_correspondence(datum: EmbeddingDatum) -> CorrespondenceReport:
     if any(ft % v.denominator for v in mu):
         mismatch = "integrality"
     else:
-        comp = complement([v.numerator * (ft // v.denominator) for v in mu])
+        scaled = [v.numerator * (ft // v.denominator) for v in mu]
+        comp = complement(scaled)
         if comp.vector != canonical(flatten(datum.rows)).vector:
             mismatch = "complement-identity"
-    if mismatch is None and coordinate_class(mu) != geometric:
+    # complement validated scaled, and a passed identity shows sum(scaled) == f * r
+    if mismatch is None and _least_terms(scaled, ft) != geometric:
         mismatch = "pipeline-agreement"
     return CorrespondenceReport(datum, mu, geometric, comp, mismatch is None, mismatch)
 

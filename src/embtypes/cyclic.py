@@ -14,10 +14,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[int, ...]
 Matrix = tuple[Vec, ...]
+
+_only_int = {int}.issuperset
+
+
+def _ints(values: Iterable, message: str, least: int | None = None) -> tuple:
+    """values as a tuple of entries of type int exactly, each >= least if given.
+
+    Bools, floats and strings raise ValueError(message), never convert.  least
+    is tested once, on the minimum, so each entry costs one type lookup.
+    """
+    v = tuple(values)
+    if not _only_int(map(type, v)) or least is not None and v and min(v) < least:
+        raise ValueError(message)
+    return v
 
 
 def rotate(entries: Sequence[int], k: int) -> Vec:
@@ -52,13 +66,17 @@ def _least_rotation(items: tuple) -> tuple:
 class CyclicClass:
     """A rotation class, stored as its canonical representative.
 
-    vector is the lexicographically least rotation of the input.
+    vector is the lexicographically least rotation of the input.  A class
+    iterates over vector, so it goes wherever a vector of entries does.
     """
 
     vector: Vec
 
     def __len__(self) -> int:
         return len(self.vector)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.vector)
 
     @property
     def total(self) -> int:
@@ -72,7 +90,7 @@ def canonical(entries: Sequence[int] | CyclicClass) -> CyclicClass:
     """
     if isinstance(entries, CyclicClass):
         return entries
-    v = _vector(entries)
+    v = _ints(entries, "entries must be non-negative integers", 0)
     if not v:
         raise ValueError("empty vector has no rotation class")
     return CyclicClass(_least_rotation(v))
@@ -108,16 +126,6 @@ class PairsForm:
         return sum(a for a, _ in self.pairs)
 
 
-def _vector(entries: Sequence[int] | CyclicClass) -> Vec:
-    """Entries as a tuple, checked to be non-negative ints."""
-    if isinstance(entries, CyclicClass):
-        return entries.vector
-    v = tuple(entries)
-    if any(type(e) is not int or e < 0 for e in v):
-        raise ValueError("entries must be non-negative integers")
-    return v
-
-
 def _pairs(v: Vec) -> list[tuple[int, int]]:
     """Pairs of a non-negative vector, starting at its first nonzero entry."""
     support = [i for i, e in enumerate(v) if e != 0]
@@ -143,7 +151,8 @@ def pairs_of(entries: Sequence[int] | CyclicClass) -> PairsForm:
     Rotating the vector rotates the pair list, so the stored form only
     depends on the class.  The zero vector has no pairs form.
     """
-    return PairsForm(_least_rotation(tuple(_pairs(_vector(entries)))))
+    v = _ints(entries, "entries must be non-negative integers", 0)
+    return PairsForm(_least_rotation(tuple(_pairs(v))))
 
 
 def from_pairs(form: PairsForm | Iterable[Sequence[int]]) -> CyclicClass:
@@ -158,8 +167,7 @@ def from_pairs(form: PairsForm | Iterable[Sequence[int]]) -> CyclicClass:
         pairs = tuple((a, b) for a, b in form)
     if not pairs:
         raise ValueError("pairs form must be nonempty")
-    if any(type(a) is not int or type(b) is not int or a <= 0 or b <= 0 for a, b in pairs):
-        raise ValueError("values and gaps must be positive integers")
+    _ints(flatten(pairs), "values and gaps must be positive integers", 1)
     return _unfold(pairs)
 
 
@@ -171,7 +179,7 @@ def complement(entries: Sequence[int] | CyclicClass) -> CyclicClass:
     classes of length s and sum t to classes of length t and sum s, and
     applying it twice gives back the original class.
     """
-    p = _pairs(_vector(entries))
+    p = _pairs(_ints(entries, "entries must be non-negative integers", 0))
     return _unfold([(b, a) for (_, b), (a, _) in zip(p, p[1:] + p[:1])])
 
 
@@ -181,7 +189,7 @@ def make_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
     Entries must be of type int exactly: bools, floats and strings are
     rejected rather than converted.
     """
-    tup = tuple(map(_vector, rows))
+    tup = tuple(_ints(row, "entries must be non-negative integers", 0) for row in rows)
     if not tup or not tup[0]:
         raise ValueError("matrix must be nonempty")
     if any(len(r) != len(tup[0]) for r in tup):
@@ -202,8 +210,7 @@ def reshape(entries: Sequence[int] | CyclicClass, nrows: int, ncols: int) -> Mat
     """
     v = canonical(entries).vector
     s = len(v)
-    if any(type(v) is not int or v < 1 for v in (nrows, ncols)):
-        raise ValueError("matrix dimensions must be positive integers")
+    _ints((nrows, ncols), "matrix dimensions must be positive integers", 1)
     if s != nrows * ncols:
         raise ValueError(f"cannot reshape length {s} into {nrows}x{ncols}")
     for k in range(s):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cyclic import classes_equal, flatten, make_matrix
+from .cyclic import _ints, classes_equal, flatten, make_matrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,8 +27,7 @@ class EmbeddingDatum:
 
 def make_datum(rows: Sequence[Sequence[int]], f: int, r: int, m: int) -> EmbeddingDatum:
     """Validated embedding datum; f, r, m and the entries must be integers."""
-    if any(type(v) is not int or v < 1 for v in (f, r, m)):
-        raise ValueError("f, r and m must be positive integers")
+    _ints((f, r, m), "f, r and m must be positive integers", 1)
     mat = make_matrix(rows)
     if len(mat) != f or len(mat[0]) != r:
         raise ValueError(f"expected a {f}x{r} matrix, got {len(mat)}x{len(mat[0])}")

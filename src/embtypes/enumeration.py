@@ -7,6 +7,7 @@ from math import comb
 from operator import sub
 from typing import Iterator
 
+from .cyclic import _ints
 from .embedding import EmbeddingDatum
 
 
@@ -39,10 +40,10 @@ def enumerate_data(f: int, r: int, m: int, head: int | None = None) -> Iterator[
     zero-column filter already make every datum valid, so none goes
     through make_datum.
     """
-    if any(type(v) is not int or v < 1 for v in (f, r, m)):
-        raise ValueError("f, r and m must be positive integers")
-    if head is not None and (type(head) is not int or not 0 <= head <= m):
-        raise ValueError("head must be an integer in 0..m")
+    _ints((f, r, m), "f, r and m must be positive integers", 1)
+    message = "head must be an integer in 0..m"
+    if head is not None and _ints((head,), message, 0)[0] > m:
+        raise ValueError(message)
     n = f * r
     for h in range(m + 1) if head is None else (head,):
         for tail in _weak_compositions(m - h, n - 1):
@@ -53,8 +54,7 @@ def enumerate_data(f: int, r: int, m: int, head: int | None = None) -> Iterator[
 
 def count_data(f: int, r: int, m: int) -> int:
     """Size of M(f, r; m), by inclusion and exclusion over empty columns."""
-    if any(type(v) is not int or v < 1 for v in (f, r, m)):
-        raise ValueError("f, r and m must be positive integers")
+    _ints((f, r, m), "f, r and m must be positive integers", 1)
     total = 0
     for j in range(r + 1):
         parts = f * (r - j)

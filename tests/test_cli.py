@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import venv
 from fractions import Fraction
 from pathlib import Path
@@ -135,10 +136,15 @@ def test_verify_report_file(tmp_path, capsys):
     assert payload["total"] == sum(c["data"] for c in payload["configurations"])
 
 
-def test_verify_report_to_unwritable_path_exits_2_before_the_sweep(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "where",
+    [lambda tmp: tmp / "missing" / "x.json", lambda tmp: tmp],
+    ids=["missing-parent", "directory"],
+)
+def test_verify_report_to_unwritable_path_exits_2_before_the_sweep(tmp_path, capsys, where):
     code, out, err = run_cli(
         capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1",
-        "--report", str(tmp_path / "missing" / "x.json"),
+        "--report", str(where(tmp_path)),
     )
     assert code == 2 and out == ""
     assert err.startswith("error:")
@@ -169,6 +175,28 @@ def test_verify_report_probe_leaves_no_file_when_the_sweep_crashes(tmp_path, mon
     with pytest.raises(KeyboardInterrupt):
         run_verify(VerifyRange(1, 1, 1, 1), str(tmp_path / "sweep.json"))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_crash_at_jobs_2_stops_the_queued_shards(tmp_path, monkeypatch):
+    # forked pool workers inherit the stub; every shard but the first logs
+    # itself and takes a while, so a pool drained to the end runs them all
+    log = tmp_path / "shards.log"
+
+    def shard(f, r, m, head):
+        if (f, r, m, head) == (1, 1, 1, 0):
+            raise ValueError("broken shard")
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{f} {r} {m} {head}\n")
+        time.sleep(0.1)
+        return iter(())
+
+    monkeypatch.setattr(cli, "enumerate_data", shard)
+    rng = VerifyRange(1, 1, 8, 1, jobs=2)
+    shards = sum(m + 1 for _, _, m in rng.configurations())
+    with pytest.raises(ValueError, match="broken shard"):
+        run_verify(rng)
+    ran = log.read_text().splitlines() if log.exists() else []
+    assert len(ran) < shards - 1
 
 
 def _off_direct(original):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
@@ -233,3 +236,38 @@ def test_weak_composition_oracle_counts():
 @given(st.integers(1, 6), st.integers(1, 6))
 def test_complement_image_counts_match(s, t):
     assert len(row_classes(s, t)) == len(row_classes(t, s))
+
+
+def _int_type_tests(tree):
+    """(function, line) of every comparison of a type(...) call with int."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "id", None) == "type"
+            and any(isinstance(n, ast.Name) and n.id == "int" for c in node.comparators for n in ast.walk(c))
+        ):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_integer_rule_is_written_once():
+    # every boundary checks ints through cyclic._ints, and int-or-Fraction
+    # through apartment._over_common_denominator; a hand-written type(v) is
+    # int elsewhere is one more copy of the rule to keep in step
+    src = Path(__file__).resolve().parents[1] / "src" / "embtypes"
+    stray = [
+        f"{path.name}:{line} in {function}"
+        for path in sorted(src.glob("*.py"))
+        for function, line in _int_type_tests(ast.parse(path.read_text()))
+        if function not in ("_ints", "_over_common_denominator")
+    ]
+    assert stray == []
