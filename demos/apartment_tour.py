@@ -54,4 +54,4 @@ print("square at 0 ", square_lattice_exponents(x, 0))
 b = barycenter(ch, ctx)
 print("barycenter  ", b.alpha, "-> same face:", face_of(b) == ch)
 mu = local_type(x)
-print("local type  ", mu.entries, "/", mu.denominator)
+print("local type  ", mu.vector, "/", mu.total)

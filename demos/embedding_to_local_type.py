@@ -36,7 +36,7 @@ print("mu direct   ", mu)
 # Route two: barycenter of the standard chain, translated by the
 # skeleton levels, then read in the centralizer apartment.
 geo = local_type_geometric(datum)
-print("mu geometric", geo.entries, "/", geo.denominator)
+print("mu geometric", geo.vector, "/", geo.total)
 print("routes agree", coordinate_class(mu) == geo)
 
 # The complement of the scaled type is exactly the flattened datum,

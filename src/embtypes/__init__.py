@@ -15,7 +15,6 @@ from .apartment import (
     ApartmentContext,
     ApartmentPoint,
     ChainFace,
-    LocalType,
     barycenter,
     chain_face,
     chain_of_order,

@@ -270,33 +270,17 @@ def translate(x: ApartmentPoint, shift: Sequence[int]) -> ApartmentPoint:
     return _point(x.context, [n * up + s * step for n, s in zip(x.num, shift)], den)
 
 
-@dataclass(frozen=True, slots=True)
-class LocalType:
-    """Cyclic class of barycentric gaps, scaled to least terms.
+def _least_terms(ints: Sequence[int]) -> CyclicClass:
+    """Local type of non-negative integer coordinates over their sum.
 
-    entries is the canonical rotation of the scaled gaps; the rational
-    gaps sum to 1, so the entries sum to the denominator.
-    """
-
-    entries: tuple[int, ...]
-    denominator: int
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def _least_terms(ints: Sequence[int], den: int) -> LocalType:
-    """Local type of integer entries over den, reduced to least terms.
-
-    The entries sum to den, so their gcd divides den as well.
+    The entries are divided by their gcd, so the class is in least terms
+    and its total is the denominator of the rational coordinates.
     """
     g = gcd(*ints)
-    if g == 1:
-        return LocalType(_least_rotation(tuple(ints)), den)
-    return LocalType(_least_rotation(tuple(x // g for x in ints)), den // g)
+    return CyclicClass(_least_rotation(tuple(ints) if g == 1 else tuple(x // g for x in ints)))
 
 
-def gap_class(values: Sequence[Rational]) -> LocalType:
+def gap_class(values: Sequence[Rational]) -> CyclicClass:
     """Gap class of a rational vector, a function of fractional parts only.
 
     It is the local type of the values read as a point with d = 1, so
@@ -305,29 +289,30 @@ def gap_class(values: Sequence[Rational]) -> LocalType:
     return local_type(make_point(ApartmentContext(len(values), 1), values))
 
 
-def coordinate_class(values: Sequence[Rational]) -> LocalType:
+def coordinate_class(values: Sequence[Rational]) -> CyclicClass:
     """The cyclic class of an explicit coordinate vector, in least terms.
 
     For turning an ordered vector of barycentric coordinates (ints or
-    Fractions summing to 1) into a LocalType comparable with gap_class
+    Fractions summing to 1) into a local type comparable with gap_class
     output.
     """
     ints, den = _over_common_denominator(values, "coordinates must be ints or Fractions")
     if any(n < 0 for n in ints) or sum(ints) != den:
         raise ValueError("coordinates must be non-negative and sum to 1")
-    return _least_terms(ints, den)
+    return _least_terms(ints)
 
 
-def local_type(x: ApartmentPoint) -> LocalType:
+def local_type(x: ApartmentPoint) -> CyclicClass:
     """Local type of the point: the gap class of d * alpha.
 
     Sort the fractional parts of d * alpha decreasingly; the gaps
     between consecutive ones, led by the wrap gap 1 - largest +
     smallest, form the local coordinate vector.  The smallest part is
-    0, because num[-1] == 0, so the wrap gap is 1 - largest.
+    0, because num[-1] == 0, so the wrap gap is 1 - largest.  The
+    class is in least terms, so its total is the denominator.
     """
     b = sorted(((x.context.d * n) % x.den for n in x.num), reverse=True)
     gaps = [x.den - b[0]]
     gaps.extend(b[k - 1] - b[k] for k in range(1, len(b)))
-    return _least_terms(gaps, x.den)
+    return _least_terms(gaps)
 

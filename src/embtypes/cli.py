@@ -1,7 +1,7 @@
 """Command line front end: JSON on standard streams, deterministic output.
 
 Exit codes: 0 on success, 1 when a verification sweep finds a failing
-datum, 2 on malformed input or an unwritable report path.
+datum, 2 on malformed input or an unwritable report path, 3 when verify crashes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence, TextIO
 
 from .apartment import coordinate_class
 from .correspondence import embedding_type_from_local, report_to_json, verify_correspondence
-from .cyclic import _ints, canonical, complement, flatten, make_matrix, pairs_of
+from .cyclic import _ints, canonical, classes_equal, complement, flatten, make_matrix, pairs_of
 from .embedding import datum_from_json, datum_to_json
 from .enumeration import count_data, enumerate_data
 
@@ -100,7 +100,7 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     configs = []
     failures = []
     total = data = fail = 0
-    pool = Pool(rng.jobs) if rng.jobs > 1 else None
+    pool = Pool(min(rng.jobs, len(tasks))) if rng.jobs > 1 else None
     try:
         results = pool.imap(_verify_shard, tasks) if pool else map(_verify_shard, tasks)
         for (count, failed), (f, r, m, head) in zip(results, tasks):
@@ -215,26 +215,25 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(json.dumps(list(flatten(make_matrix(json.loads(args.matrix))))))
     elif args.command == "local-type":
         report = verify_correspondence(datum_from_json(json.loads(args.datum)))
-        direct = coordinate_class(report.coordinates)
-        geo = report.geometric
-        print(
-            json.dumps(
-                {
-                    "mu": report_to_json(report)["mu"],
-                    "direct": {"class": list(direct.entries), "denominator": direct.denominator},
-                    "geometric": {"class": list(geo.entries), "denominator": geo.denominator},
-                    "agree": direct == geo,
-                },
-                sort_keys=True,
-            )
-        )
+        sides = {"direct": coordinate_class(report.coordinates), "geometric": report.geometric}
+        out = {name: {"class": list(c.vector), "denominator": c.total} for name, c in sides.items()}
+        out.update(mu=report_to_json(report)["mu"], agree=classes_equal(*sides.values()))
+        print(json.dumps(out, sort_keys=True))
     elif args.command == "embedding-type":
         values = [_rational(v) for v in json.loads(args.mu)]
         datum = embedding_type_from_local(coordinate_class(values), args.f, args.r)
         print(json.dumps(datum_to_json(datum), sort_keys=True))
     elif args.command == "verify":
         rng = VerifyRange(args.f_max, args.r_max, args.m_max, args.fr_max, args.jobs)
-        return run_verify(rng, args.report)
+        try:
+            return run_verify(rng, args.report)
+        except OSError:
+            raise
+        except Exception as exc:  # the bounds passed, so the program is at fault
+            import traceback  # here, so that no run without a crash pays for the import
+            traceback.print_exc()
+            print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 3
     elif args.command == "enumerate":
         if args.count_only:
             print(count_data(args.f, args.r, args.m))

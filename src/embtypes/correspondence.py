@@ -14,21 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .apartment import (
     ApartmentContext,
     ApartmentPoint,
-    LocalType,
-    _least_terms,
     barycenter,
     local_type,
     square_lattice_exponents,
     standard_chain,
     translate,
 )
-from .cyclic import CyclicClass, _ints, canonical, complement, flatten, reshape
+from .cyclic import CyclicClass, _ints, _rotation_of, complement, flatten, reshape
 from .embedding import EmbeddingDatum, datum_to_json, make_datum, skeleton
 
 # The geometric route meets few partitions (98 over the whole gate range),
@@ -100,7 +98,7 @@ def local_type_direct(datum: EmbeddingDatum) -> tuple[Fraction, ...]:
     return tuple(mu)
 
 
-def local_type_geometric(datum: EmbeddingDatum) -> LocalType:
+def local_type_geometric(datum: EmbeddingDatum) -> CyclicClass:
     """Local type of the datum, through the geometry of the apartment.
 
     Barycenter of the standard chain of the column sums in denominator
@@ -116,18 +114,18 @@ def local_type_geometric(datum: EmbeddingDatum) -> LocalType:
     return local_type(to_centralizer(moved, datum.f))
 
 
-def embedding_type_from_local(mu: LocalType, f: int, r: int) -> EmbeddingDatum:
-    """A datum whose local type is the given class.
+def embedding_type_from_local(mu: CyclicClass, f: int, r: int) -> EmbeddingDatum:
+    """A datum whose local type is the given class, whose total must divide f * r.
 
     Scale the class to f * r, complement, and cut into f rows; the
     result is one representative of the matrix class.
     """
     _ints((f, r), "f and r must be positive integers", 1)
-    if (f * r) % mu.denominator:
+    den = mu.total
+    if den < 1 or (f * r) % den:
         raise ValueError(f"not a local type for ({f},{r})")
-    scale = f * r // mu.denominator
-    rows = reshape(complement([e * scale for e in mu.entries]), f, r)
-    return make_datum(rows, f, r, len(mu.entries))
+    rows = reshape(complement([e * (f * r // den) for e in mu]), f, r)
+    return make_datum(rows, f, r, len(mu))
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +134,7 @@ class CorrespondenceReport:
 
     datum: EmbeddingDatum
     coordinates: tuple[Fraction, ...]
-    geometric: LocalType
+    geometric: CyclicClass
     complement_class: CyclicClass | None
     verdict: bool
     mismatch: str | None
@@ -147,23 +145,24 @@ def verify_correspondence(datum: EmbeddingDatum) -> CorrespondenceReport:
 
     The checks run in order (integrality of f * r times the direct
     coordinates, complement identity against the flattening, agreement
-    of the two pipelines) and the first failing site is recorded.
+    of the two pipelines) and the first failing site is recorded.  Both
+    identities compare by rotation, so they do not trust canonical forms.
     """
     mu = local_type_direct(datum)
     geometric = local_type_geometric(datum)
     ft = datum.f * datum.r
-    mismatch = None
-    comp = None
+    mismatch = comp = None
     if any(ft % v.denominator for v in mu):
         mismatch = "integrality"
     else:
         scaled = [v.numerator * (ft // v.denominator) for v in mu]
         comp = complement(scaled)
-        if comp.vector != canonical(flatten(datum.rows)).vector:
+        g = gcd(*scaled)
+        if not _rotation_of(comp.vector, flatten(datum.rows)):
             mismatch = "complement-identity"
-    # complement validated scaled, and a passed identity shows sum(scaled) == f * r
-    if mismatch is None and _least_terms(scaled, ft) != geometric:
-        mismatch = "pipeline-agreement"
+        # equal vectors have equal totals, so the denominators need no check of their own
+        elif not _rotation_of(tuple(x // g for x in scaled), geometric.vector):
+            mismatch = "pipeline-agreement"
     return CorrespondenceReport(datum, mu, geometric, comp, mismatch is None, mismatch)
 
 

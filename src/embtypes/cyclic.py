@@ -83,6 +83,24 @@ class CyclicClass:
         return sum(self.vector)
 
 
+def _rotation_of(a: tuple, b: tuple) -> bool:
+    """Whether b is a rotation of a: equal lengths and b occurs in a + a."""
+    if len(a) != len(b):
+        return False
+    try:
+        return bytes(b) in bytes(a) * 2
+    except ValueError:  # an entry outside 0..255: try each rotation
+        return any(rotate(a, k) == b for k in range(len(a)))
+
+
+def _class_entries(entries: Sequence[int] | CyclicClass) -> Vec:
+    """Entries of a nonempty vector of non-negative ints, as a tuple."""
+    v = _ints(entries, "entries must be non-negative integers", 0)
+    if not v:
+        raise ValueError("empty vector has no rotation class")
+    return v
+
+
 def canonical(entries: Sequence[int] | CyclicClass) -> CyclicClass:
     """Canonical representative of the rotation class of entries.
 
@@ -90,15 +108,12 @@ def canonical(entries: Sequence[int] | CyclicClass) -> CyclicClass:
     """
     if isinstance(entries, CyclicClass):
         return entries
-    v = _ints(entries, "entries must be non-negative integers", 0)
-    if not v:
-        raise ValueError("empty vector has no rotation class")
-    return CyclicClass(_least_rotation(v))
+    return CyclicClass(_least_rotation(_class_entries(entries)))
 
 
 def classes_equal(a: Sequence[int] | CyclicClass, b: Sequence[int] | CyclicClass) -> bool:
     """Whether two vectors are rotations of each other."""
-    return canonical(a).vector == canonical(b).vector
+    return _rotation_of(_class_entries(a), _class_entries(b))
 
 
 @dataclass(frozen=True, slots=True)

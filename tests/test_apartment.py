@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from embtypes.apartment import (
     ApartmentContext,
     ChainFace,
-    LocalType,
     barycenter,
     chain_face,
     chain_of_order,
@@ -30,7 +29,7 @@ from embtypes.apartment import (
     translate,
 )
 from embtypes.correspondence import to_centralizer
-from embtypes.cyclic import canonical
+from embtypes.cyclic import CyclicClass, canonical
 from embtypes.embedding import skeleton
 from embtypes.enumeration import enumerate_data
 from oracles import (
@@ -328,14 +327,14 @@ def test_translate_composes_additively(x, h_seed, k_seed):
 
 def test_local_type_known_values():
     vertex = make_point(ApartmentContext(4, 2), [F(1, 2), 1, 0, 0])
-    assert local_type(vertex) == LocalType((0, 0, 0, 1), 1)
+    assert local_type(vertex) == CyclicClass((0, 0, 0, 1))
     x = make_point(ApartmentContext(2, 1), [F(1, 2), 0])
-    assert local_type(x) == LocalType((1, 1), 2)
+    assert local_type(x) == CyclicClass((1, 1))
     y = make_point(
         ApartmentContext(7, 2),
         [F(n, 24) for n in (1, -1, -2, -2, -2, -6, -8)],
     )
-    assert local_type(y) == LocalType(canonical((3, 2, 1, 0, 0, 4, 2)).vector, 12)
+    assert local_type(y) == canonical((3, 2, 1, 0, 0, 4, 2))
 
 
 def test_gap_class_shift_invariance_without_normalization():
@@ -387,7 +386,7 @@ def test_make_point_and_gap_class_reject_non_rationals(bad):
 def test_local_type_matches_chamber_coordinates(x):
     mu = chamber_coordinates(x)
     lt = local_type(x)
-    assert class_of_fractions(mu) == (lt.entries, lt.denominator)
+    assert class_of_fractions(mu) == (lt.vector, lt.total)
 
 
 @given(chains(), st.integers(1, 6))
@@ -395,20 +394,20 @@ def test_barycenter_local_type_is_uniform_on_the_face(ch, d):
     lt = local_type(barycenter(ch, ApartmentContext(ch.size, d)))
     r = ch.period
     expected = sorted([1] * r + [0] * (ch.size - r), reverse=True)
-    assert sorted(lt.entries, reverse=True) == expected
-    assert lt.denominator == r
+    assert sorted(lt.vector, reverse=True) == expected
+    assert lt.total == r
 
 
 def test_coordinate_class_validation():
-    assert coordinate_class([F(1, 2), F(1, 2)]) == LocalType((1, 1), 2)
-    assert coordinate_class([F(3, 12), F(2, 12), F(1, 12), 0, 0, F(4, 12), F(2, 12)]) == LocalType(
-        canonical((3, 2, 1, 0, 0, 4, 2)).vector, 12
+    assert coordinate_class([F(1, 2), F(1, 2)]) == CyclicClass((1, 1))
+    assert coordinate_class([F(3, 12), F(2, 12), F(1, 12), 0, 0, F(4, 12), F(2, 12)]) == canonical(
+        (3, 2, 1, 0, 0, 4, 2)
     )
     with pytest.raises(ValueError):
         coordinate_class([F(1, 2), F(1, 4)])
     with pytest.raises(ValueError):
         coordinate_class([F(3, 2), F(-1, 2)])
-    assert coordinate_class([0, F(1, 2), F(1, 2)]) == LocalType((0, 1, 1), 2)
+    assert coordinate_class([0, F(1, 2), F(1, 2)]) == CyclicClass((0, 1, 1))
     with pytest.raises(ValueError):
         coordinate_class([])
     with pytest.raises(ValueError):

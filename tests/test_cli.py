@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import shutil
@@ -14,11 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from embtypes import cli, correspondence
-from embtypes.apartment import LocalType
+from embtypes import apartment, cli, correspondence, cyclic
 from embtypes.cli import VerifyRange, main, run_verify
 from embtypes.correspondence import embedding_type_from_local
-from embtypes.cyclic import reshape
+from embtypes.cyclic import CyclicClass, reshape
 from embtypes.embedding import data_equivalent, datum_from_json, make_datum
 from embtypes.enumeration import count_data, enumerate_data
 
@@ -199,6 +200,59 @@ def test_a_crash_at_jobs_2_stops_the_queued_shards(tmp_path, monkeypatch):
     assert len(ran) < shards - 1
 
 
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_a_crash_in_verify_exits_3(capsys, monkeypatch, error):
+    # the bounds are valid, so a raise inside the sweep is not bad input (2)
+    # and not a failing datum (1)
+    def crash(*args):
+        raise error("enumeration broke")
+
+    monkeypatch.setattr(cli, "enumerate_data", crash)
+    code, out, err = run_cli(capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1")
+    assert code == 3 and out == ""
+    assert err.splitlines()[-1] == f"error: internal: {error.__name__}: enumeration broke"
+
+
+def test_verify_starts_no_more_workers_than_shards(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def imap(self, func, tasks):
+            return map(func, tasks)
+
+        def terminate(self):
+            pass
+
+        close = join = terminate
+
+    monkeypatch.setattr(cli, "Pool", InProcessPool)
+    buf = io.StringIO()
+    assert run_verify(VerifyRange(1, 1, 1, 1, jobs=64), stream=buf) == 0
+    assert sizes == [2]
+    assert buf.getvalue().endswith("total data=1 fail=0\n")
+
+
+def test_the_fr8_slice_prints_its_pinned_summary():
+    buf = io.StringIO()
+    assert run_verify(VerifyRange(6, 4, 7, 8), stream=buf) == 0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "9c4e9cb5684ae086310d54737d3f830d89ecbe7b0f3182fd6796d44c2273ac0e"
+
+
+def test_a_canonicalizer_that_merges_classes_fails_the_sweep(monkeypatch):
+    # sorting maps distinct classes with equal entries to one form; the sweep
+    # compares classes by rotation, so it must not certify through it
+    for module in (cyclic, apartment):
+        monkeypatch.setattr(module, "_least_rotation", lambda t: tuple(sorted(t)))
+    buf = io.StringIO()
+    assert run_verify(VerifyRange(2, 2, 4, 4), stream=buf) == 1
+    total, fail = (int(x.split("=")[1]) for x in buf.getvalue().splitlines()[-2].split()[1:])
+    assert total == 65 and 0 < fail <= total
+
+
 def _off_direct(original):
     # a direct route whose first coordinate f * r cannot clear
     def direct(datum):
@@ -215,7 +269,7 @@ def _off_complement(original):
 def _off_geometric(original):
     def geometric(datum):
         lt = original(datum)
-        return LocalType(lt.entries, lt.denominator + 1)
+        return CyclicClass(lt.vector + (0,))
 
     return geometric
 
@@ -315,7 +369,7 @@ NON_INT_SIZES = {
     "count_data": lambda: count_data(1, True, 1),
     "make_datum": lambda: make_datum([[1]], True, True, True),
     "reshape": lambda: reshape([1, 1], 2.0, 1),
-    "embedding_type_from_local": lambda: embedding_type_from_local(LocalType((1,), 1), True, 1),
+    "embedding_type_from_local": lambda: embedding_type_from_local(CyclicClass((1,)), True, 1),
     "VerifyRange": lambda: VerifyRange(1.5, 1, 1, 1),
     "VerifyRange-jobs": lambda: VerifyRange(1, 1, 1, 1, jobs=True),
 }

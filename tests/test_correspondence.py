@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from embtypes.apartment import (
     ApartmentContext,
-    LocalType,
     barycenter,
     coordinate_class,
     local_type,
@@ -24,7 +23,7 @@ from embtypes.apartment import (
     standard_chain,
     translate,
 )
-from embtypes.cyclic import canonical, flatten, rotate
+from embtypes.cyclic import CyclicClass, canonical, flatten, rotate
 from embtypes.correspondence import (
     CorrespondenceReport,
     embedding_type_from_local,
@@ -42,7 +41,7 @@ from oracles import brute_square_entry
 
 WORKED = make_datum(((1, 0), (1, 3), (0, 0), (0, 1), (0, 1), (0, 0)), 6, 2, 7)
 WORKED_MU = tuple(F(n, 12) for n in (3, 2, 1, 0, 0, 4, 2))
-WORKED_CLASS = LocalType((0, 0, 4, 2, 3, 2, 1), 12)
+WORKED_CLASS = CyclicClass((0, 0, 4, 2, 3, 2, 1))
 
 
 @st.composite
@@ -232,8 +231,8 @@ def test_geometric_route_of_the_worked_datum():
 
 
 def test_geometric_route_small_cases():
-    assert local_type_geometric(make_datum([(3,)], 1, 1, 3)) == LocalType((0, 0, 1), 1)
-    assert local_type_geometric(make_datum([(1,), (1,)], 2, 1, 2)) == LocalType((1, 1), 2)
+    assert local_type_geometric(make_datum([(3,)], 1, 1, 3)) == CyclicClass((0, 0, 1))
+    assert local_type_geometric(make_datum([(1,), (1,)], 2, 1, 2)) == CyclicClass((1, 1))
 
 
 def test_geometric_route_matches_the_uncached_pipeline():
@@ -256,17 +255,19 @@ def test_embedding_type_inverts_the_worked_class():
 
 
 def test_embedding_type_small_cases():
-    vertex = LocalType((0, 0, 0, 1), 1)
+    vertex = CyclicClass((0, 0, 0, 1))
     assert embedding_type_from_local(vertex, 1, 1) == make_datum([(4,)], 1, 1, 4)
-    half = LocalType((1, 1), 2)
+    half = CyclicClass((1, 1))
     assert embedding_type_from_local(half, 2, 1) == make_datum([(1,), (1,)], 2, 1, 2)
 
 
 def test_embedding_type_rejects_incompatible_denominators():
     with pytest.raises(ValueError, match=r"not a local type for \(3,1\)"):
-        embedding_type_from_local(LocalType((1, 1), 2), 3, 1)
+        embedding_type_from_local(CyclicClass((1, 1)), 3, 1)
     with pytest.raises(ValueError, match="positive"):
-        embedding_type_from_local(LocalType((1,), 1), 0, 1)
+        embedding_type_from_local(CyclicClass((1,)), 0, 1)
+    with pytest.raises(ValueError, match=r"not a local type for \(1,1\)"):
+        embedding_type_from_local(CyclicClass((0, 0)), 1, 1)
 
 
 @given(data())

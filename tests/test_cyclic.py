@@ -105,6 +105,37 @@ def test_canonical_is_rotation_invariant(v, k):
     assert classes_equal(rotate(v, k), v)
 
 
+@st.composite
+def vector_pairs(draw):
+    # b is a rotation of a, a rearrangement of a, or any vector; entries up
+    # to 300 take the path for entries outside 0..255
+    top = draw(st.sampled_from([2, 3, 300]))
+    a = draw(st.lists(st.integers(0, top), min_size=1, max_size=8))
+    b = draw(
+        st.one_of(
+            st.integers(0, 20).map(lambda k: rotate(a, k)),
+            st.permutations(a),
+            st.lists(st.integers(0, top), min_size=1, max_size=9),
+        )
+    )
+    return a, b
+
+
+@given(vector_pairs())
+@example(([1, 1, 0, 0], [1, 0, 1, 0]))
+@example(([0, 1, 2], [2, 1, 0]))
+@example(([1, 2], [1, 2, 1, 2]))
+@example(([1, 2, 1, 2], [1, 2]))
+@example(([256, 0, 300], [300, 256, 0]))
+@example(([256, 0, 300], [300, 0, 256]))
+@example(([256, 1], [1, 256, 0]))
+def test_classes_equal_is_rotation_equality(pair):
+    # same multiset but no rotation, reversal, and one side occurring in the
+    # doubled other with a different length are all unequal classes
+    a, b = pair
+    assert classes_equal(a, b) == (least_rotation(a) == least_rotation(b))
+
+
 def test_pairs_of_known_values():
     # one pair per nonzero entry, gap wrapping past the end
     p = pairs_of((3, 2, 1, 0, 0, 4, 2))
