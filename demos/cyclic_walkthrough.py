@@ -16,8 +16,8 @@ print("canonical  ", cls.vector)
 
 # The pairs form lists (value, gap to the next nonzero) around the cycle.
 p = pairs_of(v)
-print("pairs      ", p.pairs)
-print("round trip ", from_pairs(p.pairs).vector)
+print("pairs      ", p)
+print("round trip ", from_pairs(p).vector)
 
 # The complement swaps the roles of values and gaps.  Applied twice it
 # returns to the start, and it exchanges vectors of (sum s, length t)

@@ -45,7 +45,6 @@ from .correspondence import (
 )
 from .cyclic import (
     CyclicClass,
-    PairsForm,
     canonical,
     classes_equal,
     complement,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .cyclic import CyclicClass, _ints, _least_rotation, canonical, flatten
+from .cyclic import CyclicClass, _ints, flatten
 
 Exponents = tuple[int, ...]
 Rational = Fraction | int
@@ -236,7 +236,7 @@ def invariant_of(ch: ChainFace) -> tuple[int, CyclicClass]:
     sums = [sum(s) for s in ch.steps]
     counts = [b - a for a, b in zip(sums, sums[1:])]
     counts.append(sums[0] + ch.size - sums[-1])
-    return ch.period, canonical(counts)
+    return ch.period, CyclicClass(tuple(counts))
 
 
 def square_lattice_exponents(x: ApartmentPoint, t: Rational) -> tuple[Exponents, ...]:
@@ -277,7 +277,7 @@ def _least_terms(ints: Sequence[int]) -> CyclicClass:
     and its total is the denominator of the rational coordinates.
     """
     g = gcd(*ints)
-    return CyclicClass(_least_rotation(tuple(ints) if g == 1 else tuple(x // g for x in ints)))
+    return CyclicClass(tuple(ints) if g == 1 else tuple(x // g for x in ints))
 
 
 def gap_class(values: Sequence[Rational]) -> CyclicClass:

@@ -1,7 +1,8 @@
 """Command line front end: JSON on standard streams, deterministic output.
 
 Exit codes: 0 on success, 1 when a verification sweep finds a failing
-datum, 2 on malformed input or an unwritable report path, 3 when verify crashes.
+datum, 2 on malformed input or an unwritable report path, 3 when the program
+crashes.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "canon":
         print(json.dumps(list(canonical(_int_vector(args.vector)).vector)))
     elif args.command == "pairs":
-        print(json.dumps([list(ab) for ab in pairs_of(_int_vector(args.vector)).pairs]))
+        print(json.dumps([list(ab) for ab in pairs_of(_int_vector(args.vector))]))
     elif args.command == "complement":
         print(json.dumps(list(complement(_int_vector(args.vector)).vector)))
     elif args.command == "flatten":
@@ -223,17 +224,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         values = [_rational(v) for v in json.loads(args.mu)]
         datum = embedding_type_from_local(coordinate_class(values), args.f, args.r)
         print(json.dumps(datum_to_json(datum), sort_keys=True))
-    elif args.command == "verify":
-        rng = VerifyRange(args.f_max, args.r_max, args.m_max, args.fr_max, args.jobs)
-        try:
-            return run_verify(rng, args.report)
-        except OSError:
-            raise
-        except Exception as exc:  # the bounds passed, so the program is at fault
-            import traceback  # here, so that no run without a crash pays for the import
-            traceback.print_exc()
-            print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 3
     elif args.command == "enumerate":
         if args.count_only:
             print(count_data(args.f, args.r, args.m))
@@ -245,11 +235,21 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    bad_input = (ValueError, KeyError, TypeError, OSError)
     try:
-        return _dispatch(args)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+        if args.command != "verify":
+            return _dispatch(args)
+        rng = VerifyRange(args.f_max, args.r_max, args.m_max, args.fr_max, args.jobs)
+        bad_input = OSError  # the bounds passed, so only the report path can be at fault
+        return run_verify(rng, args.report)
+    except bad_input as exc:  # an except clause reads bad_input when it matches
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # the program is at fault, whatever the command
+        import traceback  # here, so that no run without a crash pays for the import
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -66,11 +66,18 @@ def _least_rotation(items: tuple) -> tuple:
 class CyclicClass:
     """A rotation class, stored as its canonical representative.
 
-    vector is the lexicographically least rotation of the input.  A class
-    iterates over vector, so it goes wherever a vector of entries does.
+    Construction replaces vector by its lexicographically least rotation,
+    so every class is canonical whoever builds it, and == and hash are
+    equality of classes.  The entries are not validated, as in
+    EmbeddingDatum; canonical validates them.  A class iterates over
+    vector, so it goes wherever a vector of entries does.
     """
 
     vector: Vec
+
+    def __post_init__(self) -> None:
+        v = tuple(self.vector)
+        object.__setattr__(self, "vector", _least_rotation(v) if v else v)
 
     def __len__(self) -> int:
         return len(self.vector)
@@ -106,39 +113,12 @@ def canonical(entries: Sequence[int] | CyclicClass) -> CyclicClass:
 
     Entries must be of type int exactly, as in make_matrix.
     """
-    if isinstance(entries, CyclicClass):
-        return entries
-    return CyclicClass(_least_rotation(_class_entries(entries)))
+    return CyclicClass(_class_entries(entries))
 
 
 def classes_equal(a: Sequence[int] | CyclicClass, b: Sequence[int] | CyclicClass) -> bool:
     """Whether two vectors are rotations of each other."""
     return _rotation_of(_class_entries(a), _class_entries(b))
-
-
-@dataclass(frozen=True, slots=True)
-class PairsForm:
-    """Pairs form of a nonzero class: (value, gap to the next nonzero).
-
-    One pair per nonzero entry, in cyclic order around the vector; the
-    gap of the last pair wraps past the end.  The pair list is stored in
-    its least rotation, so equal classes give equal forms.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def length(self) -> int:
-        """Length of the underlying vector, the sum of the gaps."""
-        return sum(g for _, g in self.pairs)
-
-    @property
-    def total(self) -> int:
-        """Sum of the underlying vector, the sum of the values."""
-        return sum(a for a, _ in self.pairs)
 
 
 def _pairs(v: Vec) -> list[tuple[int, int]]:
@@ -157,29 +137,29 @@ def _unfold(pairs: Sequence[tuple[int, int]]) -> CyclicClass:
     for a, b in pairs:
         out[pos] = a
         pos += b
-    return CyclicClass(_least_rotation(tuple(out)))
+    return CyclicClass(tuple(out))
 
 
-def pairs_of(entries: Sequence[int] | CyclicClass) -> PairsForm:
-    """Pairs form of the class of entries.
+def pairs_of(entries: Sequence[int] | CyclicClass) -> tuple[tuple[int, int], ...]:
+    """Pairs form of the class of entries: (value, gap to the next nonzero).
 
-    Rotating the vector rotates the pair list, so the stored form only
-    depends on the class.  The zero vector has no pairs form.
+    One pair per nonzero entry, in cyclic order around the vector; the
+    gap of the last pair wraps past the end, so the gaps sum to the
+    vector's length and the values to its total.  Rotating the vector
+    rotates the pair list, so the form, returned in its least rotation,
+    only depends on the class.  The zero vector has no pairs form.
     """
     v = _ints(entries, "entries must be non-negative integers", 0)
-    return PairsForm(_least_rotation(tuple(_pairs(v))))
+    return _least_rotation(tuple(_pairs(v)))
 
 
-def from_pairs(form: PairsForm | Iterable[Sequence[int]]) -> CyclicClass:
+def from_pairs(form: Iterable[Sequence[int]]) -> CyclicClass:
     """Class of the vector with the given pairs form.
 
     Gaps say how far each value sits from the next one, so the gaps sum
     to the vector length and the values fill the support.
     """
-    if isinstance(form, PairsForm):
-        pairs = form.pairs
-    else:
-        pairs = tuple((a, b) for a, b in form)
+    pairs = tuple((a, b) for a, b in form)
     if not pairs:
         raise ValueError("pairs form must be nonempty")
     _ints(flatten(pairs), "values and gaps must be positive integers", 1)

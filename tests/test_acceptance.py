@@ -64,7 +64,7 @@ def test_criterion_1_worked_example(capsys):
         mu = local_type_direct(datum)
         assert mu == tuple(F(n, 12) for n in (3, 2, 1, 0, 0, 4, 2))
         scaled = [int(12 * v) for v in mu]
-        assert pairs_of(scaled).pairs == least_rotation(((3, 1), (2, 1), (1, 3), (4, 1), (2, 1)))
+        assert pairs_of(scaled) == least_rotation(((3, 1), (2, 1), (1, 3), (4, 1), (2, 1)))
         expected = least_rotation((1, 0, 1, 3, 0, 0, 0, 1, 0, 1, 0, 0))
         assert complement(scaled).vector == expected
         assert data_equivalent(embedding_type_from_local(coordinate_class(mu), 6, 2), datum)
@@ -90,7 +90,7 @@ def test_criterion_3_complement_calculus(capsys):
                 c = complement(v)
                 image.add(c.vector)
                 assert complement(c.vector).vector == v
-                assert from_pairs(pairs_of(v).pairs).vector == v
+                assert from_pairs(pairs_of(v)).vector == v
             assert image == row_classes(t, s)
 
 

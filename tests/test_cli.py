@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from embtypes import apartment, cli, correspondence, cyclic
+from embtypes import cli, correspondence, cyclic
 from embtypes.cli import VerifyRange, main, run_verify
 from embtypes.correspondence import embedding_type_from_local
 from embtypes.cyclic import CyclicClass, reshape
@@ -213,6 +213,30 @@ def test_a_crash_in_verify_exits_3(capsys, monkeypatch, error):
     assert err.splitlines()[-1] == f"error: internal: {error.__name__}: enumeration broke"
 
 
+@pytest.mark.parametrize(
+    "stub, argv",
+    [
+        ("canonical", ["canon", "[1,0]"]),
+        ("pairs_of", ["pairs", "[1,0]"]),
+        ("complement", ["complement", "[1,0]"]),
+        ("flatten", ["flatten", "[[1,0]]"]),
+        ("verify_correspondence", ["local-type", "--datum", WORKED_JSON]),
+        ("embedding_type_from_local", ["embedding-type", "--mu", "[1]", "--f", "1", "--r", "1"]),
+        ("enumerate_data", ["enumerate", "--f", "1", "--r", "1", "--m", "1"]),
+    ],
+)
+def test_a_crash_in_any_command_exits_3(capsys, monkeypatch, stub, argv):
+    # exit 1 means a failing datum, so a crash must not escape main with it
+    def crash(*args):
+        raise RuntimeError("broke")
+
+    monkeypatch.setattr(cli, stub, crash)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "error: internal: RuntimeError: broke"
+
+
 def test_verify_starts_no_more_workers_than_shards(monkeypatch):
     sizes = []
 
@@ -245,8 +269,7 @@ def test_the_fr8_slice_prints_its_pinned_summary():
 def test_a_canonicalizer_that_merges_classes_fails_the_sweep(monkeypatch):
     # sorting maps distinct classes with equal entries to one form; the sweep
     # compares classes by rotation, so it must not certify through it
-    for module in (cyclic, apartment):
-        monkeypatch.setattr(module, "_least_rotation", lambda t: tuple(sorted(t)))
+    monkeypatch.setattr(cyclic, "_least_rotation", lambda t: tuple(sorted(t)))
     buf = io.StringIO()
     assert run_verify(VerifyRange(2, 2, 4, 4), stream=buf) == 1
     total, fail = (int(x.split("=")[1]) for x in buf.getvalue().splitlines()[-2].split()[1:])

@@ -268,6 +268,8 @@ def test_embedding_type_rejects_incompatible_denominators():
         embedding_type_from_local(CyclicClass((1,)), 0, 1)
     with pytest.raises(ValueError, match=r"not a local type for \(1,1\)"):
         embedding_type_from_local(CyclicClass((0, 0)), 1, 1)
+    with pytest.raises(ValueError, match=r"not a local type for \(1,1\)"):
+        embedding_type_from_local(CyclicClass(()), 1, 1)
 
 
 @given(data())
