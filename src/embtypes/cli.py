@@ -22,6 +22,10 @@ from .cyclic import _ints, canonical, classes_equal, complement, flatten, make_m
 from .embedding import datum_from_json, datum_to_json
 from .enumeration import count_data, enumerate_data
 
+# Consecutive shards per pool message: batches cut the main process's round
+# trips to a quarter, and are still small enough to keep every worker busy.
+SHARDS_PER_BATCH = 4
+
 
 @dataclass(frozen=True, slots=True)
 class VerifyRange:
@@ -78,8 +82,9 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
 
     The range is cut into shards (f, r, m, head), the data of one
     configuration whose first flattened entry is head, and all of them
-    go through one ordered pass: builtin map at jobs 1, one pool at
-    jobs > 1, so no configuration waits for the one before it.  One
+    go through one ordered pass: builtin map at jobs 1, one pool fed
+    batches of SHARDS_PER_BATCH consecutive shards at jobs > 1, so no
+    configuration waits for the one before it.  One
     line per configuration plus a total, in enumeration order, so two
     runs over the same range print identical summaries whatever the
     worker count; a configuration's line is printed when its last shard
@@ -92,6 +97,8 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     out = stream or sys.stdout
     if report_path is not None:
         # fail on an unwritable path now rather than after the whole sweep
+        if not report_path:
+            raise FileNotFoundError("report path is empty")
         if os.path.isdir(report_path):
             raise IsADirectoryError(f"report path {report_path} is a directory")
         tmp = report_path + ".tmp"
@@ -101,9 +108,10 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     configs = []
     failures = []
     total = data = fail = 0
-    pool = Pool(min(rng.jobs, len(tasks))) if rng.jobs > 1 else None
+    batches = -(-len(tasks) // SHARDS_PER_BATCH)
+    pool = Pool(min(rng.jobs, batches)) if rng.jobs > 1 else None
     try:
-        results = pool.imap(_verify_shard, tasks) if pool else map(_verify_shard, tasks)
+        results = pool.imap(_verify_shard, tasks, SHARDS_PER_BATCH) if pool else map(_verify_shard, tasks)
         for (count, failed), (f, r, m, head) in zip(results, tasks):
             failures.extend(failed)
             data += count

@@ -151,6 +151,16 @@ def test_verify_report_to_unwritable_path_exits_2_before_the_sweep(tmp_path, cap
     assert err.startswith("error:")
 
 
+def test_verify_report_to_an_empty_path_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1", "--report", "",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_report_survives_a_failed_write(tmp_path, capsys, monkeypatch):
     path = tmp_path / "sweep.json"
     path.write_text("previous report\n")
@@ -238,13 +248,15 @@ def test_a_crash_in_any_command_exits_3(capsys, monkeypatch, stub, argv):
 
 
 def test_verify_starts_no_more_workers_than_shards(monkeypatch):
+    # the pool gets batches of SHARDS_PER_BATCH shards and one worker per batch at most
     sizes = []
 
     class InProcessPool:
         def __init__(self, processes):
             sizes.append(processes)
 
-        def imap(self, func, tasks):
+        def imap(self, func, tasks, chunksize=1):
+            assert chunksize == cli.SHARDS_PER_BATCH
             return map(func, tasks)
 
         def terminate(self):
@@ -252,11 +264,13 @@ def test_verify_starts_no_more_workers_than_shards(monkeypatch):
 
         close = join = terminate
 
+    monkeypatch.setattr(cli, "SHARDS_PER_BATCH", 4)
     monkeypatch.setattr(cli, "Pool", InProcessPool)
     buf = io.StringIO()
-    assert run_verify(VerifyRange(1, 1, 1, 1, jobs=64), stream=buf) == 0
-    assert sizes == [2]
+    assert run_verify(VerifyRange(1, 1, 1, 1, jobs=64), stream=buf) == 0  # 2 shards
     assert buf.getvalue().endswith("total data=1 fail=0\n")
+    assert run_verify(VerifyRange(1, 1, 3, 1, jobs=64), stream=buf) == 0  # 9 shards
+    assert sizes == [1, 3]
 
 
 def test_the_fr8_slice_prints_its_pinned_summary():
@@ -343,6 +357,44 @@ def test_verifier_reports_each_mismatch_site(tmp_path, capsys, monkeypatch, name
     assert payload["verdict"] == "fail" and payload["total"] == total
     assert [failure["mismatch"] for failure in payload["failures"]] == [site] * total
     assert all(set(failure) == {"f", "r", "m", "rows", "mismatch"} for failure in payload["failures"])
+
+
+def test_failures_keep_their_order_across_batches(tmp_path, capsys, monkeypatch):
+    # failing shards spread over several pool batches, with two mismatch sites
+    failing = {(1, 1, 3, 3): "exception", (1, 2, 4, 2): "pipeline-agreement", (2, 1, 3, 1): "exception",
+               (2, 2, 3, 0): "pipeline-agreement", (2, 2, 4, 1): "exception"}
+    monkeypatch.setattr(cli, "SHARDS_PER_BATCH", 4)
+    rng = VerifyRange(2, 2, 4, 4)
+    tasks = [(f, r, m, head) for f, r, m in rng.configurations() for head in range(m + 1)]
+    assert len({tasks.index(t) // cli.SHARDS_PER_BATCH for t in failing}) == len(failing)
+    original = correspondence.local_type_geometric
+
+    def geometric(datum):
+        site = failing.get((datum.f, datum.r, datum.m, datum.rows[0][0]))
+        if site == "exception":
+            raise RuntimeError("planted")
+        lt = original(datum)
+        return CyclicClass(lt.vector + (0,)) if site else lt
+
+    monkeypatch.setattr(correspondence, "local_type_geometric", geometric)
+    runs = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"sweep-{jobs}.json"
+        code, out, _ = run_cli(
+            capsys, "verify", "--f-max", "2", "--r-max", "2", "--m-max", "4", "--fr-max", "4",
+            "--jobs", jobs, "--report", str(path),
+        )
+        assert code == 1
+        runs.append((out, path.read_bytes()))
+    assert runs[0] == runs[1]
+    expected = [
+        (d.f, d.r, d.m, [list(row) for row in d.rows], failing[(d.f, d.r, d.m, d.rows[0][0])])
+        for f, r, m in rng.configurations()
+        for d in enumerate_data(f, r, m)
+        if (f, r, m, d.rows[0][0]) in failing
+    ]
+    got = [(x["f"], x["r"], x["m"], x["rows"], x["mismatch"]) for x in json.loads(runs[0][1])["failures"]]
+    assert got == expected and len({x[:3] for x in got}) == len(failing)
 
 
 def test_parallel_output_matches_serial(capsys):
