@@ -9,7 +9,6 @@ hereditary orders those faces correspond to, all in exact arithmetic.
 from fractions import Fraction as F
 
 from embtypes import (
-    ApartmentContext,
     barycenter,
     chain_of_order,
     face_of,
@@ -21,9 +20,9 @@ from embtypes import (
     square_lattice_exponents,
 )
 
-# Three frame lines, valuation denominator 4.
-ctx = ApartmentContext(m=3, d=4)
-x = make_point(ctx, [F(1, 4), F(1, 16), 0])
+# Three frame lines (one coordinate each), valuation denominator 4.
+d = 4
+x = make_point(d, [F(1, 4), F(1, 16), 0])
 print("point       ", x.alpha)
 
 # The point picks one lattice per parameter value.  Within one period
@@ -51,7 +50,7 @@ print("square at 0 ", square_lattice_exponents(x, 0))
 
 # The barycenter of a face has that face as its own face, and the local
 # type reads off the barycentric coordinates as a cyclic class.
-b = barycenter(ch, ctx)
+b = barycenter(ch, d)
 print("barycenter  ", b.alpha, "-> same face:", face_of(b) == ch)
 mu = local_type(x)
 print("local type  ", mu.vector, "/", mu.total)

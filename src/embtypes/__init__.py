@@ -12,7 +12,6 @@ line front end exposes the core operations and an exhaustive verifier.
 from __future__ import annotations
 
 from .apartment import (
-    ApartmentContext,
     ApartmentPoint,
     ChainFace,
     barycenter,

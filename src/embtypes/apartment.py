@@ -3,11 +3,11 @@
 Lattices are integer exponent vectors of length m, considered modulo
 adding a constant (homothety).  A point of the apartment is a rational
 coordinate vector alpha with alpha_m = 0, stored as integer numerators
-over one least denominator; it selects the lattice
-ceil(d * (t + alpha)) at parameter t, where d is the denominator the
-context fixes.  Chains of lattices are the faces of the apartment,
-hereditary orders are exponent matrices, and the local type of a point
-is the cyclic class of its barycentric gaps.
+over one least denominator, together with the denominator d of the
+valuation it is read against; it selects the lattice
+ceil(d * (t + alpha)) at parameter t.  Chains of lattices are the faces
+of the apartment, hereditary orders are exponent matrices, and the
+local type of a point is the cyclic class of its barycentric gaps.
 """
 
 from __future__ import annotations
@@ -21,19 +21,6 @@ from .cyclic import CyclicClass, _ints, flatten
 
 Exponents = tuple[int, ...]
 Rational = Fraction | int
-
-
-@dataclass(frozen=True, slots=True)
-class ApartmentContext:
-    """Ambient sizes: m frame lines, denominator d of the valuation."""
-
-    m: int
-    d: int
-
-    def __post_init__(self) -> None:
-        _ints((self.m, self.d), "m and d must be integers")
-        if self.m < 1 or self.d < 1:
-            raise ValueError("m and d must be positive")
 
 
 def normalize_exponents(c: Sequence[int]) -> Exponents:
@@ -125,12 +112,13 @@ def standard_chain(composition: Sequence[int]) -> ChainFace:
 class ApartmentPoint:
     """A point of the apartment in chart coordinates: alpha_i = num_i / den.
 
-    num[-1] == 0, den >= 1 and gcd(den, *num) == 1, so equal points
-    compare equal.  local_type relies on num[-1] == 0: _point ensures
-    it, and a point built by hand must keep it.
+    d is the valuation denominator and m is len(num).  num[-1] == 0,
+    den >= 1 and gcd(den, *num) == 1, so equal points compare equal.
+    local_type relies on num[-1] == 0: _point ensures it, and a point
+    built by hand must keep it.
     """
 
-    context: ApartmentContext
+    d: int
     num: tuple[int, ...]
     den: int
 
@@ -140,17 +128,15 @@ class ApartmentPoint:
         return tuple(Fraction(n, self.den) for n in self.num)
 
 
-def _point(context: ApartmentContext, num: Sequence[int], den: int) -> ApartmentPoint:
-    """Point num / den (den >= 1), shifted so alpha_m = 0, in least terms."""
-    if len(num) != context.m:
-        raise ValueError("coordinate count must match the context")
+def _point(d: int, num: Sequence[int], den: int) -> ApartmentPoint:
+    """Point num / den (den >= 1, num not empty), shifted so alpha_m = 0, in least terms."""
     last = num[-1]
     if last:
         num = [n - last for n in num]
     g = gcd(den, *num)
     if g == 1:
-        return ApartmentPoint(context, tuple(num), den)
-    return ApartmentPoint(context, tuple(n // g for n in num), den // g)
+        return ApartmentPoint(d, tuple(num), den)
+    return ApartmentPoint(d, tuple(n // g for n in num), den // g)
 
 
 def _over_common_denominator(values: Sequence[Rational], message: str) -> tuple[list[int], int]:
@@ -164,15 +150,18 @@ def _over_common_denominator(values: Sequence[Rational], message: str) -> tuple[
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def make_point(context: ApartmentContext, values: Sequence[Rational]) -> ApartmentPoint:
+def make_point(d: int, values: Sequence[Rational]) -> ApartmentPoint:
     """Point with the given int or Fraction chart coordinates, normalized so alpha_m = 0."""
-    return _point(context, *_over_common_denominator(values, "coordinates must be ints or Fractions"))
+    _ints((d,), "d must be a positive integer", 1)
+    if not values:
+        raise ValueError("a point needs at least one coordinate")
+    return _point(d, *_over_common_denominator(values, "coordinates must be ints or Fractions"))
 
 
 def lattice_at(x: ApartmentPoint, t: Rational) -> Exponents:
     """Exponent vector of the lattice the point selects at an int or Fraction t."""
     (p,), s = _over_common_denominator((t,), "the parameter t must be an int or a Fraction")
-    d, q = x.context.d, s * x.den
+    d, q = x.d, s * x.den
     return tuple(-(-d * (p * x.den + n * s) // q) for n in x.num)
 
 
@@ -183,7 +172,7 @@ def face_of(x: ApartmentPoint) -> ChainFace:
     parameter), so the distinct thresholds give one step each and the
     period is the number of distinct fractional parts of d * alpha.
     """
-    d, den = x.context.d, x.den
+    d, den = x.d, x.den
     thetas = sorted({-d * n % den for n in x.num})
     return chain_face([lattice_at(x, Fraction(th, d * den)) for th in thetas])
 
@@ -250,11 +239,10 @@ def square_lattice_exponents(x: ApartmentPoint, t: Rational) -> tuple[Exponents,
     return tuple(zip(*(lattice_at(x, Fraction(p * x.den - n * s, s * x.den)) for n in x.num)))
 
 
-def barycenter(ch: ChainFace, context: ApartmentContext) -> ApartmentPoint:
-    """Equal-weight average of the chain's vertex points."""
-    if context.m != ch.size:
-        raise ValueError("chain size must match the context")
-    return _point(context, [sum(col) for col in zip(*ch.steps)], ch.period * context.d)
+def barycenter(ch: ChainFace, d: int) -> ApartmentPoint:
+    """Equal-weight average of the chain's vertex points, read against d."""
+    _ints((d,), "d must be a positive integer", 1)
+    return _point(d, [sum(col) for col in zip(*ch.steps)], ch.period * d)
 
 
 def translate(x: ApartmentPoint, shift: Sequence[int]) -> ApartmentPoint:
@@ -262,12 +250,12 @@ def translate(x: ApartmentPoint, shift: Sequence[int]) -> ApartmentPoint:
 
     Every entry of the shift must be of type int.
     """
-    if len(shift) != x.context.m:
-        raise ValueError("shift length must match the context")
+    if len(shift) != len(x.num):
+        raise ValueError("shift length must match the point")
     shift = _ints(shift, "shift entries must be integers")
-    den = lcm(x.den, x.context.d)
-    up, step = den // x.den, den // x.context.d
-    return _point(x.context, [n * up + s * step for n, s in zip(x.num, shift)], den)
+    den = lcm(x.den, x.d)
+    up, step = den // x.den, den // x.d
+    return _point(x.d, [n * up + s * step for n, s in zip(x.num, shift)], den)
 
 
 def _least_terms(ints: Sequence[int]) -> CyclicClass:
@@ -286,7 +274,7 @@ def gap_class(values: Sequence[Rational]) -> CyclicClass:
     It is the local type of the values read as a point with d = 1, so
     adding one constant to all values leaves it unchanged.
     """
-    return local_type(make_point(ApartmentContext(len(values), 1), values))
+    return local_type(make_point(1, values))
 
 
 def coordinate_class(values: Sequence[Rational]) -> CyclicClass:
@@ -311,7 +299,7 @@ def local_type(x: ApartmentPoint) -> CyclicClass:
     0, because num[-1] == 0, so the wrap gap is 1 - largest.  The
     class is in least terms, so its total is the denominator.
     """
-    b = sorted(((x.context.d * n) % x.den for n in x.num), reverse=True)
+    b = sorted(((x.d * n) % x.den for n in x.num), reverse=True)
     gaps = [x.den - b[0]]
     gaps.extend(b[k - 1] - b[k] for k in range(1, len(b)))
     return _least_terms(gaps)

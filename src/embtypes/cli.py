@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
@@ -77,22 +78,28 @@ def _verify_shard(task):
     return count, failures
 
 
+def _temp_beside(path: str) -> tuple[int, str]:
+    """(fd, name) of a new file with a unique name in path's directory."""
+    directory, name = os.path.split(path)
+    return tempfile.mkstemp(suffix=".tmp", prefix=name + ".", dir=directory or ".")
+
+
 def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO | None = None) -> int:
     """Certify every datum in the range; returns the exit code.
 
     The range is cut into shards (f, r, m, head), the data of one
     configuration whose first flattened entry is head, and all of them
-    go through one ordered pass: builtin map at jobs 1, one pool fed
-    batches of SHARDS_PER_BATCH consecutive shards at jobs > 1, so no
-    configuration waits for the one before it.  One
-    line per configuration plus a total, in enumeration order, so two
-    runs over the same range print identical summaries whatever the
-    worker count; a configuration's line is printed when its last shard
-    returns.  The first failing datum, if any, is printed as a full
-    JSON report; with report_path the summary and all failures are
-    written to a JSON file as well, through a temporary file that then
-    replaces it, so an interrupted write leaves no truncated report and
-    a failed one leaves no temporary file.
+    go through one ordered pass: a pool of up to jobs workers, one per
+    batch of SHARDS_PER_BATCH consecutive shards, or builtin map where
+    one worker would do, so no configuration waits for the one before
+    it.  One line per configuration plus a total, in enumeration order,
+    so two runs over the same range print identical summaries whatever
+    the worker count; a configuration's line is printed when its last
+    shard returns.  The first failing datum, if any, is printed as a
+    full JSON report; with report_path the summary and all failures are
+    written to a JSON file as well, through a new temporary file beside
+    it that then replaces it, so an interrupted write leaves no
+    truncated report and a failed one leaves no temporary file.
     """
     out = stream or sys.stdout
     if report_path is not None:
@@ -101,15 +108,16 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
             raise FileNotFoundError("report path is empty")
         if os.path.isdir(report_path):
             raise IsADirectoryError(f"report path {report_path} is a directory")
-        tmp = report_path + ".tmp"
-        open(tmp, "a", encoding="utf-8").close()
+        fd, tmp = _temp_beside(report_path)
+        os.close(fd)
         os.remove(tmp)
     tasks = [(f, r, m, head) for f, r, m in rng.configurations() for head in range(m + 1)]
     configs = []
     failures = []
     total = data = fail = 0
     batches = -(-len(tasks) // SHARDS_PER_BATCH)
-    pool = Pool(min(rng.jobs, batches)) if rng.jobs > 1 else None
+    workers = min(rng.jobs, batches)
+    pool = Pool(workers) if workers > 1 else None
     try:
         results = pool.imap(_verify_shard, tasks, SHARDS_PER_BATCH) if pool else map(_verify_shard, tasks)
         for (count, failed), (f, r, m, head) in zip(results, tasks):
@@ -140,14 +148,17 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
             "failures": [{**x["datum"], "mismatch": x["mismatch"]} for x in failures],
             "verdict": "pass" if not failures else "fail",
         }
+        fd, tmp = _temp_beside(report_path)
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
+            with open(fd, "w", encoding="utf-8") as fh:
+                mask = os.umask(0)
+                os.umask(mask)
+                os.chmod(tmp, 0o666 & ~mask)  # the mode open() gives a new file, not mkstemp's 0600
                 json.dump(payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             os.replace(tmp, report_path)
         except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+            os.remove(tmp)
             raise
     return 1 if failures else 0
 

@@ -18,7 +18,6 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .apartment import (
-    ApartmentContext,
     ApartmentPoint,
     barycenter,
     local_type,
@@ -38,7 +37,7 @@ def _barycenter(partition: tuple[int, ...], d: int) -> ApartmentPoint:
     the whole gate range), so it builds each chain and barycenter once;
     the direct route does not read this cache.
     """
-    return barycenter(standard_chain(partition), ApartmentContext(sum(partition), d))
+    return barycenter(standard_chain(partition), d)
 
 
 @lru_cache(maxsize=None)
@@ -58,15 +57,15 @@ def to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
     so in the affine chart this divides by f.
     """
     _ints((f,), "f must be a positive integer", 1)
-    if x.context.d % f:
+    if x.d % f:
         raise ValueError("not applicable: E must be unramified of degree dividing d")
-    return ApartmentPoint(ApartmentContext(x.context.m, x.context.d // f), x.num, x.den)
+    return ApartmentPoint(x.d // f, x.num, x.den)
 
 
 def from_centralizer(y: ApartmentPoint, f: int) -> ApartmentPoint:
     """Inverse direction: scale the denominator back up by f."""
     _ints((f,), "f must be a positive integer", 1)
-    return ApartmentPoint(ApartmentContext(y.context.m, y.context.d * f), y.num, y.den)
+    return ApartmentPoint(y.d * f, y.num, y.den)
 
 
 def intersection_property(x: ApartmentPoint, f: int) -> bool:
@@ -78,9 +77,9 @@ def intersection_property(x: ApartmentPoint, f: int) -> bool:
     sampling half steps over one period decides the identity for all t.
     """
     y = to_centralizer(x, f)
-    q = 2 * lcm(x.context.d, x.den)
+    q = 2 * lcm(x.d, x.den)
     # one period of the image side: t in [0, f/d), i.e. k < q * f / d
-    for k in range(q * f // x.context.d):
+    for k in range(q * f // x.d):
         t = Fraction(k, q)
         big = flatten(square_lattice_exponents(x, t))
         small = flatten(square_lattice_exponents(y, t))

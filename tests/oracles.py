@@ -91,8 +91,8 @@ def refined_chamber(point) -> list[tuple[int, ...]]:
     coordinates by that threshold (ties by index) and inserting one jump
     per step refines the face of the point into a chamber.
     """
-    d = point.context.d
-    m = point.context.m
+    d = point.d
+    m = len(point.num)
     scaled = [d * a for a in point.alpha]
     theta = [Fraction(-x) % 1 for x in scaled]
     order = sorted(range(m), key=lambda i: (theta[i], i))
@@ -111,8 +111,8 @@ def chamber_coordinates(point) -> list[Fraction]:
     exactly, and returns the mu in chamber step order.
     """
     steps = refined_chamber(point)
-    m = point.context.m
-    d = point.context.d
+    m = len(point.num)
+    d = point.d
     rows = []
     rhs = []
     for i in range(m):
@@ -148,7 +148,7 @@ def brute_square_entry(point, t: Fraction, i: int, j: int) -> int:
     with denominator dividing d * M, so a half-step grid over one period
     sees every value they take.
     """
-    d = point.context.d
+    d = point.d
     ai, aj = point.alpha[i], point.alpha[j]
     t = Fraction(t)
     M = lcm(t.denominator, ai.denominator, aj.denominator)

@@ -14,7 +14,6 @@ from itertools import permutations, product
 from time import perf_counter
 
 from embtypes.apartment import (
-    ApartmentContext,
     chain_face,
     chain_of_order,
     coordinate_class,
@@ -149,10 +148,7 @@ def test_criterion_5_centralizer_defining_property(capsys):
             d = f * rng.randint(1, 24 // f)
             m = rng.randint(1, 5)
             den = rng.choice(dens)
-            x = make_point(
-                ApartmentContext(m, d),
-                [F(rng.randint(-2 * den, 2 * den), den) for _ in range(m)],
-            )
+            x = make_point(d, [F(rng.randint(-2 * den, 2 * den), den) for _ in range(m)])
             assert intersection_property(x, f)
             assert from_centralizer(to_centralizer(x, f), f) == x
             assert to_centralizer(from_centralizer(x, f), f) == x
@@ -173,7 +169,7 @@ def test_criterion_6_local_type_well_defined(capsys):
             picks = values + [rng.choice(values) for _ in range(m - k)]
             rng.shuffle(picks)
             alpha = [F(rng.randint(-6, 6)) + b for b in picks]
-            x = make_point(ApartmentContext(m, d), [a / d for a in alpha])
+            x = make_point(d, [a / d for a in alpha])
             base = local_type(x)
             frac = [(d * a) % 1 for a in x.alpha]
             groups = {}
@@ -197,10 +193,7 @@ def test_criterion_7_square_lattice_oracle(capsys):
             m = rng.randint(1, 4)
             d = rng.randint(1, 12)
             den = rng.choice(dens)
-            x = make_point(
-                ApartmentContext(m, d),
-                [F(rng.randint(-2 * den, 2 * den), den) for _ in range(m)],
-            )
+            x = make_point(d, [F(rng.randint(-2 * den, 2 * den), den) for _ in range(m)])
             for _ in range(3):
                 t = F(rng.randint(-12, 12), rng.choice(dens))
                 mat = square_lattice_exponents(x, t)

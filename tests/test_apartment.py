@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from embtypes.apartment import (
-    ApartmentContext,
     ChainFace,
     barycenter,
     chain_face,
@@ -51,7 +50,7 @@ def points(draw, max_m=5, max_d=12, max_den=12):
     alpha = [
         F(draw(st.integers(-24, 24)), draw(st.integers(1, max_den))) for _ in range(m)
     ]
-    return make_point(ApartmentContext(m, d), alpha)
+    return make_point(d, alpha)
 
 
 @st.composite
@@ -67,28 +66,26 @@ def chains(draw, max_m=5):
     return chain_face(steps)
 
 
-def test_context_validation():
-    with pytest.raises(ValueError):
-        ApartmentContext(0, 1)
-    with pytest.raises(ValueError):
-        ApartmentContext(3, 0)
-
-
-@pytest.mark.parametrize("m, d", [(2, 1.5), (True, True), (2.0, 1), (2, F(2)), ("2", 1)])
-def test_context_rejects_non_ints(m, d):
-    with pytest.raises(ValueError, match="must be integers"):
-        ApartmentContext(m, d)
+@pytest.mark.parametrize(
+    "d",
+    [0, -1, 1.5, 2.0, True, "2", F(2)],
+    ids=["zero", "negative", "float", "integral-float", "bool", "str", "Fraction"],
+)
+def test_make_point_and_barycenter_reject_a_bad_d(d):
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        make_point(d, [F(1, 2), 0])
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        barycenter(chain_face([(0, 0), (1, 0)]), d)
 
 
 def test_make_point_normalizes_last_coordinate():
-    x = make_point(ApartmentContext(2, 1), [F(3, 2), 1])
+    x = make_point(1, [F(3, 2), 1])
     assert x.alpha == (F(1, 2), F(0))
-    y = make_point(ApartmentContext(7, 12), [F(1, 24), F(1, 24), 0, 0, 0, 0, 0])
+    y = make_point(12, [F(1, 24), F(1, 24), 0, 0, 0, 0, 0])
     assert y.alpha == (F(1, 24), F(1, 24), 0, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        make_point(ApartmentContext(3, 1), [1, 2])
-    ctx = ApartmentContext(2, 1)
-    assert make_point(ctx, [F(2, 4), 0]) == make_point(ctx, [F(1, 2), 0])
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        make_point(1, [])
+    assert make_point(1, [F(2, 4), 0]) == make_point(1, [F(1, 2), 0])
 
 
 @given(
@@ -99,31 +96,31 @@ def test_make_point_normalizes_last_coordinate():
     st.lists(st.integers(-4, 4), min_size=5, max_size=5),
 )
 def test_points_are_stored_in_least_terms(x, ch, d, f, shift):
-    b = barycenter(ch, ApartmentContext(ch.size, d * f))
+    b = barycenter(ch, d * f)
     moved = translate(b, shift[: ch.size])
-    for y in (x, translate(x, shift[: x.context.m]), b, moved, to_centralizer(moved, f)):
+    for y in (x, translate(x, shift[: len(x.num)]), b, moved, to_centralizer(moved, f)):
         assert y.num[-1] == 0 and y.den >= 1 and gcd(y.den, *y.num) == 1
 
 
 @given(points(), st.integers(-5, 5), st.integers(1, 7))
 def test_make_point_mods_out_constant_shifts(x, num, den):
     c = F(num, den)
-    shifted = make_point(x.context, [a + c for a in x.alpha])
+    shifted = make_point(x.d, [a + c for a in x.alpha])
     assert shifted == x
 
 
 def test_lattice_at_known_values():
-    zero = make_point(ApartmentContext(3, 1), [0, 0, 0])
+    zero = make_point(1, [0, 0, 0])
     assert lattice_at(zero, 0) == (0, 0, 0)
     assert lattice_at(zero, F(1, 2)) == (1, 1, 1)
-    y = make_point(ApartmentContext(7, 12), [F(1, 24), F(1, 24), 0, 0, 0, 0, 0])
+    y = make_point(12, [F(1, 24), F(1, 24), 0, 0, 0, 0, 0])
     assert lattice_at(y, 0) == (1, 1, 0, 0, 0, 0, 0)
 
 
 @given(points(), st.integers(-6, 6), st.integers(1, 8))
 def test_lattice_periodicity(x, num, den):
     t = F(num, den)
-    up = lattice_at(x, t + F(1, x.context.d))
+    up = lattice_at(x, t + F(1, x.d))
     assert up == tuple(c + 1 for c in lattice_at(x, t))
 
 
@@ -172,17 +169,17 @@ def test_standard_chain_has_the_given_invariant(parts):
 
 
 def test_face_of_known_points():
-    vertex = make_point(ApartmentContext(4, 3), [F(2, 3), F(1, 3), 0, 0])
+    vertex = make_point(3, [F(2, 3), F(1, 3), 0, 0])
     assert face_of(vertex).period == 1
-    y = make_point(ApartmentContext(7, 12), [F(1, 24), F(1, 24), 0, 0, 0, 0, 0])
+    y = make_point(12, [F(1, 24), F(1, 24), 0, 0, 0, 0, 0])
     assert face_of(y) == chain_face([(0,) * 7, (1, 1, 0, 0, 0, 0, 0)])
-    chamber = make_point(ApartmentContext(3, 1), [F(2, 3), F(1, 3), 0])
+    chamber = make_point(1, [F(2, 3), F(1, 3), 0])
     assert face_of(chamber).period == 3
 
 
 @given(points())
 def test_face_period_counts_distinct_fractional_parts(x):
-    fracs = {(x.context.d * a) % 1 for a in x.alpha}
+    fracs = {(x.d * a) % 1 for a in x.alpha}
     assert face_of(x).period == len(fracs)
 
 
@@ -232,7 +229,7 @@ def test_invariant_of_known_chains():
     ch = chain_face([(0,) * 7, (1, 1, 0, 0, 0, 0, 0)])
     assert invariant_of(ch) == (2, canonical((2, 5)))
     assert invariant_of(standard_chain((5,))) == (1, canonical((5,)))
-    chamber = face_of(make_point(ApartmentContext(3, 1), [F(2, 3), F(1, 3), 0]))
+    chamber = face_of(make_point(1, [F(2, 3), F(1, 3), 0]))
     assert invariant_of(chamber) == (3, canonical((1, 1, 1)))
 
 
@@ -250,10 +247,10 @@ def test_invariant_of_counts_the_jumps_of_every_small_chain():
 
 
 def test_square_lattice_known_values():
-    zero = make_point(ApartmentContext(3, 1), [0, 0, 0])
+    zero = make_point(1, [0, 0, 0])
     assert square_lattice_exponents(zero, 0) == ((0,) * 3,) * 3
     assert square_lattice_exponents(zero, F(3, 10)) == ((1,) * 3,) * 3
-    x = make_point(ApartmentContext(2, 2), [F(1, 2), 0])
+    x = make_point(2, [F(1, 2), 0])
     assert square_lattice_exponents(x, 0) == ((0, 1), (-1, 0))
 
 
@@ -267,21 +264,18 @@ def test_square_lattice_at_zero_is_the_face_order(x):
 def test_square_lattice_matches_brute_maximization(x, num, den):
     t = F(num, den)
     mat = square_lattice_exponents(x, t)
-    for i in range(x.context.m):
-        for j in range(x.context.m):
+    for i in range(len(x.num)):
+        for j in range(len(x.num)):
             assert mat[i][j] == brute_square_entry(x, t, i, j)
 
 
 def test_barycenter_known_values():
-    ctx = ApartmentContext(7, 12)
     ch = chain_face([(0,) * 7, (1, 1, 0, 0, 0, 0, 0)])
-    assert barycenter(ch, ctx).alpha == (F(1, 24), F(1, 24), 0, 0, 0, 0, 0)
+    assert barycenter(ch, 12).alpha == (F(1, 24), F(1, 24), 0, 0, 0, 0, 0)
     edge = chain_face([(0, 0), (1, 0)])
-    assert barycenter(edge, ApartmentContext(2, 1)).alpha == (F(1, 2), 0)
+    assert barycenter(edge, 1).alpha == (F(1, 2), 0)
     vertex = chain_face([(2, 5)])
-    assert barycenter(vertex, ApartmentContext(2, 3)).alpha == (F(-1), F(0))
-    with pytest.raises(ValueError):
-        barycenter(edge, ApartmentContext(3, 1))
+    assert barycenter(vertex, 3).alpha == (F(-1), F(0))
 
 
 def test_barycenter_matches_the_mean_of_the_steps_on_every_small_datum():
@@ -290,18 +284,17 @@ def test_barycenter_matches_the_mean_of_the_steps_on_every_small_datum():
             for m in range(1, 6):
                 for datum in enumerate_data(f, r, m):
                     ch = standard_chain(skeleton(datum).partition)
-                    x = barycenter(ch, ApartmentContext(m, f * r))
+                    x = barycenter(ch, f * r)
                     assert x.alpha == barycenter_alpha(ch.steps, f * r)
 
 
 @given(chains(), st.integers(1, 6))
 def test_face_of_barycenter_returns_the_chain(ch, d):
-    ctx = ApartmentContext(ch.size, d)
-    assert face_of(barycenter(ch, ctx)) == ch
+    assert face_of(barycenter(ch, d)) == ch
 
 
 def test_translate_known_values():
-    x = make_point(ApartmentContext(2, 12), [0, 0])
+    x = make_point(12, [0, 0])
     assert translate(x, (1, 0)).alpha == (F(1, 12), 0)
     assert translate(x, (3, 3)) == x
 
@@ -309,7 +302,7 @@ def test_translate_known_values():
 @pytest.mark.parametrize("bad", [0.5, 1.0, True, F(1), "1"])
 def test_translate_rejects_non_int_shifts(bad):
     # int() used to truncate these, so translate(x, [0.5, 0]) left x unmoved
-    x = make_point(ApartmentContext(2, 12), [0, 0])
+    x = make_point(12, [0, 0])
     with pytest.raises(ValueError, match="shift entries must be integers"):
         translate(x, [bad, 0])
 
@@ -320,20 +313,17 @@ def test_translate_rejects_non_int_shifts(bad):
     st.lists(st.integers(-4, 4), min_size=5, max_size=5),
 )
 def test_translate_composes_additively(x, h_seed, k_seed):
-    m = x.context.m
+    m = len(x.num)
     h, k = h_seed[:m], k_seed[:m]
     assert translate(translate(x, h), k) == translate(x, [a + b for a, b in zip(h, k)])
 
 
 def test_local_type_known_values():
-    vertex = make_point(ApartmentContext(4, 2), [F(1, 2), 1, 0, 0])
+    vertex = make_point(2, [F(1, 2), 1, 0, 0])
     assert local_type(vertex) == CyclicClass((0, 0, 0, 1))
-    x = make_point(ApartmentContext(2, 1), [F(1, 2), 0])
+    x = make_point(1, [F(1, 2), 0])
     assert local_type(x) == CyclicClass((1, 1))
-    y = make_point(
-        ApartmentContext(7, 2),
-        [F(n, 24) for n in (1, -1, -2, -2, -2, -6, -8)],
-    )
+    y = make_point(2, [F(n, 24) for n in (1, -1, -2, -2, -2, -6, -8)])
     assert local_type(y) == canonical((3, 2, 1, 0, 0, 4, 2))
 
 
@@ -348,7 +338,7 @@ def test_gap_class_shift_invariance_without_normalization():
 
 @pytest.mark.parametrize("bad", [0.1, "1/3", True])
 def test_lattice_parameter_rejects_non_rationals(bad):
-    x = make_point(ApartmentContext(3, 2), [F(1, 3), F(1, 2), 0])
+    x = make_point(2, [F(1, 3), F(1, 2), 0])
     with pytest.raises(ValueError, match="int or a Fraction"):
         lattice_at(x, bad)
     with pytest.raises(ValueError, match="int or a Fraction"):
@@ -377,7 +367,7 @@ def test_normalize_exponents_rejects_non_ints(bad):
 @pytest.mark.parametrize("bad", [0.1, "1/3", True])
 def test_make_point_and_gap_class_reject_non_rationals(bad):
     with pytest.raises(ValueError, match="ints or Fractions"):
-        make_point(ApartmentContext(2, 1), [bad, 0])
+        make_point(1, [bad, 0])
     with pytest.raises(ValueError, match="ints or Fractions"):
         gap_class([bad, 0])
 
@@ -391,7 +381,7 @@ def test_local_type_matches_chamber_coordinates(x):
 
 @given(chains(), st.integers(1, 6))
 def test_barycenter_local_type_is_uniform_on_the_face(ch, d):
-    lt = local_type(barycenter(ch, ApartmentContext(ch.size, d)))
+    lt = local_type(barycenter(ch, d))
     r = ch.period
     expected = sorted([1] * r + [0] * (ch.size - r), reverse=True)
     assert sorted(lt.vector, reverse=True) == expected

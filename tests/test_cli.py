@@ -175,7 +175,24 @@ def test_verify_report_survives_a_failed_write(tmp_path, capsys, monkeypatch):
     )
     assert code == 2 and "disk full" in err
     assert path.read_text() == "previous report\n"
-    assert not (tmp_path / "sweep.json.tmp").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+
+
+def test_verify_report_leaves_a_file_named_like_a_temporary_alone(tmp_path, capsys, monkeypatch):
+    # the report used to go through <report>.tmp, deleting a user's file of that name
+    notes = tmp_path / "sweep.json.tmp"
+    notes.write_bytes(b"my notes\n")
+    monkeypatch.chdir(tmp_path)  # a bare file name: the temporary file goes in the current directory
+    code, _, _ = run_cli(
+        capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1", "--report", "sweep.json",
+    )
+    assert code == 0
+    assert notes.read_bytes() == b"my notes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json", "sweep.json.tmp"]
+    assert json.loads((tmp_path / "sweep.json").read_text())["verdict"] == "pass"
+    # the report gets the mode of any new file, not the 0600 of a temporary one
+    (tmp_path / "plain").touch()
+    assert os.stat("sweep.json").st_mode == os.stat("plain").st_mode
 
 
 def test_verify_report_probe_leaves_no_file_when_the_sweep_crashes(tmp_path, monkeypatch):
@@ -248,7 +265,8 @@ def test_a_crash_in_any_command_exits_3(capsys, monkeypatch, stub, argv):
 
 
 def test_verify_starts_no_more_workers_than_shards(monkeypatch):
-    # the pool gets batches of SHARDS_PER_BATCH shards and one worker per batch at most
+    # the pool gets batches of SHARDS_PER_BATCH shards and one worker per batch at most,
+    # and a range of one batch runs in this process
     sizes = []
 
     class InProcessPool:
@@ -270,7 +288,7 @@ def test_verify_starts_no_more_workers_than_shards(monkeypatch):
     assert run_verify(VerifyRange(1, 1, 1, 1, jobs=64), stream=buf) == 0  # 2 shards
     assert buf.getvalue().endswith("total data=1 fail=0\n")
     assert run_verify(VerifyRange(1, 1, 3, 1, jobs=64), stream=buf) == 0  # 9 shards
-    assert sizes == [1, 3]
+    assert sizes == [3]  # one batch needs no pool
 
 
 def test_the_fr8_slice_prints_its_pinned_summary():

@@ -352,3 +352,11 @@ def test_the_integer_rule_is_written_once():
         if function not in ("_ints", "_over_common_denominator")
     ]
     assert stray == []
+
+
+def test_the_oracles_import_nothing_from_the_library():
+    # an oracle that reuses library code would agree with the library's faults
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and not [m for m in modules if m.split(".")[0] == "embtypes"]
