@@ -12,10 +12,9 @@ local type of a point is the cyclic class of its barycentric gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclic import CyclicClass, _ints, flatten
 
@@ -32,8 +31,7 @@ def normalize_exponents(c: Sequence[int]) -> Exponents:
     return tuple(x - low for x in v)
 
 
-@dataclass(frozen=True, slots=True)
-class ChainFace:
+class ChainFace(NamedTuple):
     """One period of a lattice chain, stored canonically.
 
     steps lists (c^(0), ..., c^(r-1)), componentwise non-decreasing and
@@ -108,8 +106,7 @@ def standard_chain(composition: Sequence[int]) -> ChainFace:
     return chain_face(steps)
 
 
-@dataclass(frozen=True, slots=True)
-class ApartmentPoint:
+class ApartmentPoint(NamedTuple):
     """A point of the apartment in chart coordinates: alpha_i = num_i / den.
 
     d is the valuation denominator and m is len(num).  num[-1] == 0,

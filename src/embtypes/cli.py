@@ -12,10 +12,8 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from .apartment import coordinate_class
 from .correspondence import embedding_type_from_local, report_to_json, verify_correspondence
@@ -28,19 +26,27 @@ from .enumeration import count_data, enumerate_data
 SHARDS_PER_BATCH = 4
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyRange:
-    """Bounds of an exhaustive certification sweep."""
-
+class _Bounds(NamedTuple):
     f_max: int
     r_max: int
     m_max: int
     fr_max: int
     jobs: int = 1
 
-    def __post_init__(self) -> None:
-        bounds = (self.f_max, self.r_max, self.m_max, self.fr_max, self.jobs)
-        _ints(bounds, "all bounds must be positive integers", 1)
+
+class VerifyRange(_Bounds):
+    """Bounds of an exhaustive certification sweep."""
+
+    __slots__ = ()
+
+    def __new__(cls, f_max: int, r_max: int, m_max: int, fr_max: int, jobs: int = 1) -> VerifyRange:
+        bounds = (f_max, r_max, m_max, fr_max, jobs)
+        return _Bounds.__new__(cls, *_ints(bounds, "all bounds must be positive integers", 1))
+
+    @classmethod
+    def _make(cls, iterable) -> VerifyRange:
+        """Through __new__, so _replace checks the bounds too."""
+        return cls(*iterable)
 
     def configurations(self):
         for f in range(1, self.f_max + 1):
@@ -49,6 +55,17 @@ class VerifyRange:
                     continue
                 for m in range(1, self.m_max + 1):
                     yield f, r, m
+
+
+def Pool(processes: int):
+    """multiprocessing.Pool(processes), imported on the first call.
+
+    A sweep in one process, and every other command, never loads
+    multiprocessing and the modules it pulls in.
+    """
+    import multiprocessing
+
+    return multiprocessing.Pool(processes)
 
 
 def _verify_one(datum):
@@ -226,17 +243,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "canon":
-        print(json.dumps(list(canonical(_int_vector(args.vector)).vector)))
+        print(json.dumps(list(canonical(_int_vector(args.vector)))))
     elif args.command == "pairs":
         print(json.dumps([list(ab) for ab in pairs_of(_int_vector(args.vector))]))
     elif args.command == "complement":
-        print(json.dumps(list(complement(_int_vector(args.vector)).vector)))
+        print(json.dumps(list(complement(_int_vector(args.vector)))))
     elif args.command == "flatten":
         print(json.dumps(list(flatten(make_matrix(json.loads(args.matrix))))))
     elif args.command == "local-type":
         report = verify_correspondence(datum_from_json(json.loads(args.datum)))
         sides = {"direct": coordinate_class(report.coordinates), "geometric": report.geometric}
-        out = {name: {"class": list(c.vector), "denominator": c.total} for name, c in sides.items()}
+        out = {name: {"class": list(c), "denominator": c.total} for name, c in sides.items()}
         out.update(mu=report_to_json(report)["mu"], agree=classes_equal(*sides.values()))
         print(json.dumps(out, sort_keys=True))
     elif args.command == "embedding-type":

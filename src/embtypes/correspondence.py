@@ -11,11 +11,10 @@ checks both against the complement identity on the flattening.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple
 
 from .apartment import (
     ApartmentPoint,
@@ -132,8 +131,7 @@ def embedding_type_from_local(mu: CyclicClass, f: int, r: int) -> EmbeddingDatum
     return make_datum(rows, f, r, len(mu))
 
 
-@dataclass(frozen=True, slots=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     """Outcome of the three agreement checks for one datum."""
 
     datum: EmbeddingDatum
@@ -162,10 +160,10 @@ def verify_correspondence(datum: EmbeddingDatum) -> CorrespondenceReport:
         scaled = [v.numerator * (ft // v.denominator) for v in mu]
         comp = complement(scaled)
         g = gcd(*scaled)
-        if not _rotation_of(comp.vector, flatten(datum.rows)):
+        if not _rotation_of(comp, flatten(datum.rows)):
             mismatch = "complement-identity"
         # equal vectors have equal totals, so the denominators need no check of their own
-        elif not _rotation_of(tuple(x // g for x in scaled), geometric.vector):
+        elif not _rotation_of(tuple(x // g for x in scaled), geometric):
             mismatch = "pipeline-agreement"
     return CorrespondenceReport(datum, mu, geometric, comp, mismatch is None, mismatch)
 
@@ -175,7 +173,7 @@ def report_to_json(report: CorrespondenceReport) -> dict:
     return {
         "datum": datum_to_json(report.datum),
         "mu": [[v.numerator, v.denominator] for v in report.coordinates],
-        "complement": None if report.complement_class is None else list(report.complement_class.vector),
+        "complement": None if report.complement_class is None else list(report.complement_class),
         "verdict": "pass" if report.verdict else "fail",
         "mismatch": report.mismatch,
     }

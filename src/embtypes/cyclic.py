@@ -12,9 +12,8 @@ column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
 Matrix = tuple[Vec, ...]
@@ -62,32 +61,32 @@ def _least_rotation(items: tuple) -> tuple:
     return best
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicClass:
-    """A rotation class, stored as its canonical representative.
+class CyclicClass(tuple):
+    """A rotation class, the tuple of its canonical representative.
 
     Construction replaces vector by its lexicographically least rotation,
-    so every class is canonical whoever builds it, and == and hash are
-    equality of classes.  The entries are not validated, as in
-    EmbeddingDatum; canonical validates them.  A class iterates over
-    vector, so it goes wherever a vector of entries does.
+    so every class is canonical whoever builds it (a copy or an unpickled
+    class too), and == and hash are equality of classes.  The entries are
+    not validated, as in EmbeddingDatum; canonical validates them.  A
+    class is a tuple of entries, so it goes wherever a vector does.
     """
 
-    vector: Vec
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v = tuple(self.vector)
-        object.__setattr__(self, "vector", _least_rotation(v) if v else v)
+    def __new__(cls, vector: Iterable[int]) -> CyclicClass:
+        v = tuple(vector)
+        return tuple.__new__(cls, _least_rotation(v) if v else v)
 
-    def __len__(self) -> int:
-        return len(self.vector)
+    def __repr__(self) -> str:
+        return f"CyclicClass(vector={tuple.__repr__(self)})"
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.vector)
+    @property
+    def vector(self) -> Vec:
+        return tuple(self)
 
     @property
     def total(self) -> int:
-        return sum(self.vector)
+        return sum(self)
 
 
 def _rotation_of(a: tuple, b: tuple) -> bool:
@@ -200,17 +199,17 @@ def flatten(rows: Sequence[Sequence[int]]) -> Vec:
 def reshape(entries: Sequence[int] | CyclicClass, nrows: int, ncols: int) -> Matrix:
     """Cut a class into an nrows x ncols matrix with no zero column.
 
-    Scans the rotations of the canonical vector in shift order and cuts
-    the first one whose columns all have positive sum.
+    Cuts the canonical vector into rows.  Rotating a vector of length
+    nrows * ncols by k places moves column j of its cut onto column
+    (j - k) mod ncols, so every rotation cuts into the same column sums
+    in some order: when this cut has a zero column, so does every other.
     """
-    v = canonical(entries).vector
+    v = canonical(entries)
     s = len(v)
     _ints((nrows, ncols), "matrix dimensions must be positive integers", 1)
     if s != nrows * ncols:
         raise ValueError(f"cannot reshape length {s} into {nrows}x{ncols}")
-    for k in range(s):
-        w = rotate(v, k)
-        rows = tuple(w[i * ncols : (i + 1) * ncols] for i in range(nrows))
-        if all(any(row[j] for row in rows) for j in range(ncols)):
-            return rows
-    raise ValueError("no rotation yields positive columns")
+    rows = tuple(v[i * ncols : (i + 1) * ncols] for i in range(nrows))
+    if not all(map(any, zip(*rows))):
+        raise ValueError("no rotation yields positive columns")
+    return rows

@@ -9,14 +9,12 @@ of the m units in column-major order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclic import _ints, classes_equal, flatten, make_matrix
 
 
-@dataclass(frozen=True, slots=True)
-class EmbeddingDatum:
+class EmbeddingDatum(NamedTuple):
     """f x r multiplicity matrix with entry sum m and positive columns."""
 
     f: int
@@ -47,8 +45,7 @@ def data_equivalent(a: EmbeddingDatum, b: EmbeddingDatum) -> bool:
     return classes_equal(flatten(a.rows), flatten(b.rows))
 
 
-@dataclass(frozen=True, slots=True)
-class PearlSkeleton:
+class PearlSkeleton(NamedTuple):
     """Column sums and the row level of each unit, column-major."""
 
     partition: tuple[int, ...]

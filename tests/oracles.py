@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, gcd, lcm
+from math import ceil, comb, gcd, lcm
 from typing import Iterator, Sequence
 
 
@@ -19,6 +19,50 @@ def all_rotations(v: Sequence) -> list[tuple]:
 
 def least_rotation(v: Sequence) -> tuple:
     return min(all_rotations(v))
+
+
+def reshape_by_scan(v: Sequence[int], nrows: int, ncols: int) -> tuple[tuple[int, ...], ...] | None:
+    """First rotation of the least rotation, in shift order, whose rows have no zero column.
+
+    Cuts every rotation into nrows rows of ncols entries and returns the
+    first cut whose columns all have a positive entry; None when none has.
+    """
+    for w in all_rotations(least_rotation(v)):
+        rows = tuple(w[i * ncols : (i + 1) * ncols] for i in range(nrows))
+        if all(any(row[j] for row in rows) for j in range(ncols)):
+            return rows
+    return None
+
+
+def class_count(f: int, r: int, m: int) -> int:
+    """Rotation classes of the flattenings of M(f, r; m), in closed form.
+
+    Burnside over the n = f r rotations: the phi(n / g) rotations with
+    gcd g of n fix the vectors of period g, which repeat one block of
+    length g and sum s = m g / n, n / g times.  Position p
+    lies in column p mod r, so column j meets the block in the residues
+    j mod c, c = gcd(g, r), and a fixed vector is a datum when the block
+    has a positive entry in each of the c residue classes: inclusion and
+    exclusion over the classes left empty.
+    """
+    n = f * r
+    total = 0
+    for g in range(1, n + 1):
+        if n % g or m % (n // g):
+            continue
+        s, c = m * g // n, gcd(g, r)
+        ways = 0
+        for j in range(c + 1):
+            free = g * (c - j) // c
+            ways += (-1) ** j * comb(c, j) * (comb(s + free - 1, s) if free else 0)
+        total += phi(n // g) * ways
+    assert total % n == 0
+    return total // n
+
+
+def phi(n: int) -> int:
+    """Euler's totient, by counting."""
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -483,6 +483,28 @@ def test_python_m_embtypes():
     assert json.loads(proc.stdout) == [0, 1, 0, 1]
 
 
+def _modules_after(code):
+    """sys.modules of a fresh interpreter with PYTHONPATH=src once code has run."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    probe = f"import sys\n{code}\nprint(*sys.modules, file=sys.stderr)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1", "--jobs", "1"], ["canon", "[1,0]"]],
+    ids=["verify-one-datum", "canon"],
+)
+def test_a_command_loads_no_module_it_does_not_use(argv):
+    # every command runs in a fresh process that pays for its imports: the
+    # records are named tuples, and only a pool imports multiprocessing
+    bare = _modules_after("")
+    loaded = _modules_after(f"from embtypes.cli import main\nassert main({argv!r}) == 0")
+    assert "embtypes.cli" in loaded
+    assert sorted((loaded - bare) & {"dataclasses", "inspect", "multiprocessing"}) == []
+
+
 def test_installed_entry_point(tmp_path):
     """The `[project.scripts]` entry becomes a working `embtypes` command.
 

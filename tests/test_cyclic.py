@@ -22,7 +22,7 @@ from embtypes.cyclic import (
     reshape,
     rotate,
 )
-from oracles import all_rotations, least_rotation, row_classes, weak_compositions
+from oracles import all_rotations, least_rotation, reshape_by_scan, row_classes, weak_compositions
 
 vectors = st.lists(st.integers(0, 5), min_size=1, max_size=9)
 
@@ -245,7 +245,7 @@ def test_reshape_recovers_a_matrix_in_the_same_class():
     rows = ((1, 0), (1, 3), (0, 0), (0, 1), (0, 1), (0, 0))
     out = reshape(canonical(flatten(rows)), 6, 2)
     assert classes_equal(flatten(out), flatten(rows))
-    # the scan is deterministic: first positive-column cut of the canonical vector
+    # the cut of the canonical vector, which has no zero column
     assert out == ((0, 0), (0, 1), (0, 1), (0, 0), (1, 0), (1, 3))
 
 
@@ -269,6 +269,22 @@ def test_reshape_round_trips_through_flatten(v):
         except ValueError:
             continue
         assert classes_equal(flatten(mat), v)
+
+
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=10))
+def test_reshape_is_the_scan_over_rotations(v):
+    # rotating the flattening permutes its column sums, so the scan over the
+    # rotations of the least rotation stops at the first one or never
+    n = len(v)
+    for nrows in range(1, n + 1):
+        if n % nrows:
+            continue
+        expected = reshape_by_scan(v, nrows, n // nrows)
+        if expected is None:
+            with pytest.raises(ValueError, match="^no rotation yields positive columns$"):
+                reshape(v, nrows, n // nrows)
+        else:
+            assert reshape(v, nrows, n // nrows) == expected
 
 
 def test_weak_composition_oracle_counts():
@@ -337,7 +353,7 @@ def test_the_least_rotation_rule_has_one_owner():
         for path in sorted(src.glob("*.py"))
         for function in _functions_naming(ast.parse(path.read_text()), "_least_rotation")
     ]
-    assert sorted(users) == ["cyclic.py:CyclicClass.__post_init__", "cyclic.py:pairs_of"]
+    assert sorted(users) == ["cyclic.py:CyclicClass.__new__", "cyclic.py:pairs_of"]
 
 
 def test_the_integer_rule_is_written_once():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from embtypes.cyclic import flatten
 from embtypes.embedding import make_datum
 from embtypes.enumeration import _weak_compositions, count_data, enumerate_data
+from oracles import class_count, least_rotation
 
 
 def test_single_cell_pool():
@@ -40,6 +41,14 @@ def test_more_columns_than_units_is_empty():
 def test_counts_match_the_enumeration():
     for f, r, m in product(range(1, 5), range(1, 5), range(1, 6)):
         assert count_data(f, r, m) == sum(1 for _ in enumerate_data(f, r, m))
+
+
+def test_the_class_count_formula_matches_the_enumeration():
+    # every configuration of the fr<=8 slice of the gate (f<=6, r<=4, m<=7)
+    for f, r, m in product(range(1, 7), range(1, 5), range(1, 8)):
+        if f * r <= 8:
+            classes = {least_rotation(flatten(d.rows)) for d in enumerate_data(f, r, m)}
+            assert class_count(f, r, m) == len(classes), (f, r, m)
 
 
 def test_enumerated_data_pass_make_datum_unchanged():
