@@ -255,14 +255,14 @@ def translate(x: ApartmentPoint, shift: Sequence[int]) -> ApartmentPoint:
     return _point(x.d, [n * up + s * step for n, s in zip(x.num, shift)], den)
 
 
-def _least_terms(ints: Sequence[int]) -> CyclicClass:
-    """Local type of non-negative integer coordinates over their sum.
+def _least_terms(ints: Sequence[int]) -> tuple[int, ...]:
+    """Non-negative integer coordinates divided by their gcd, in their order.
 
-    The entries are divided by their gcd, so the class is in least terms
-    and its total is the denominator of the rational coordinates.
+    The vector is then in least terms, and its total is the denominator
+    of the rational coordinates it stands for.
     """
     g = gcd(*ints)
-    return CyclicClass(tuple(ints) if g == 1 else tuple(x // g for x in ints))
+    return tuple(ints) if g == 1 else tuple(x // g for x in ints)
 
 
 def gap_class(values: Sequence[Rational]) -> CyclicClass:
@@ -284,7 +284,7 @@ def coordinate_class(values: Sequence[Rational]) -> CyclicClass:
     ints, den = _over_common_denominator(values, "coordinates must be ints or Fractions")
     if any(n < 0 for n in ints) or sum(ints) != den:
         raise ValueError("coordinates must be non-negative and sum to 1")
-    return _least_terms(ints)
+    return CyclicClass(_least_terms(ints))
 
 
 def local_type(x: ApartmentPoint) -> CyclicClass:
@@ -296,8 +296,14 @@ def local_type(x: ApartmentPoint) -> CyclicClass:
     0, because num[-1] == 0, so the wrap gap is 1 - largest.  The
     class is in least terms, so its total is the denominator.
     """
-    b = sorted(((x.d * n) % x.den for n in x.num), reverse=True)
-    gaps = [x.den - b[0]]
-    gaps.extend(b[k - 1] - b[k] for k in range(1, len(b)))
+    return CyclicClass(_local_gaps(x))
+
+
+def _local_gaps(x: ApartmentPoint) -> tuple[int, ...]:
+    """The gaps of local_type in least terms, wrap gap first; no canonical form."""
+    d, den = x.d, x.den
+    b = sorted([d * n % den for n in x.num], reverse=True)
+    gaps = [den - b[0]]
+    gaps += [p - q for p, q in zip(b, b[1:])]
     return _least_terms(gaps)
 

@@ -11,12 +11,11 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from typing import NamedTuple, Sequence, TextIO
 
 from .apartment import coordinate_class
-from .correspondence import embedding_type_from_local, report_to_json, verify_correspondence
+from .correspondence import _checks, _report, embedding_type_from_local, report_to_json, verify_correspondence
 from .cyclic import _ints, canonical, classes_equal, complement, flatten, make_matrix, pairs_of
 from .embedding import datum_from_json, datum_to_json
 from .enumeration import count_data, enumerate_data
@@ -69,13 +68,17 @@ def Pool(processes: int):
 
 
 def _verify_one(datum):
-    """None for a passing datum, else its failure's wire form; a crash is site `exception`."""
+    """None for a passing datum, else its failure's wire form; a crash is site `exception`.
+
+    It runs the checks of verify_correspondence and builds their report,
+    with its canonical classes, only for a failing datum.
+    """
     try:
-        report = verify_correspondence(datum)
+        mu, comp, gaps, site = _checks(datum)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         return {"datum": datum_to_json(datum), "verdict": "fail", "mismatch": "exception", "error": error}
-    return None if report.verdict else report_to_json(report)
+    return None if site is None else report_to_json(_report(datum, mu, comp, gaps, site))
 
 
 def _verify_shard(task):
@@ -97,6 +100,8 @@ def _verify_shard(task):
 
 def _temp_beside(path: str) -> tuple[int, str]:
     """(fd, name) of a new file with a unique name in path's directory."""
+    import tempfile  # here, so that a run without a report never loads it
+
     directory, name = os.path.split(path)
     return tempfile.mkstemp(suffix=".tmp", prefix=name + ".", dir=directory or ".")
 

@@ -18,13 +18,13 @@ from typing import NamedTuple
 
 from .apartment import (
     ApartmentPoint,
+    _local_gaps,
     barycenter,
-    local_type,
     square_lattice_exponents,
     standard_chain,
     translate,
 )
-from .cyclic import CyclicClass, _ints, _rotation_of, complement, flatten, reshape
+from .cyclic import CyclicClass, Vec, _complement, _ints, _rotation_of, complement, flatten, reshape
 from .embedding import EmbeddingDatum, datum_to_json, make_datum, skeleton
 
 
@@ -112,9 +112,14 @@ def local_type_geometric(datum: EmbeddingDatum) -> CyclicClass:
     (partition, f * r); translate, centralizer and local type run for
     every datum.
     """
+    return CyclicClass(_local_type_geometric(datum))
+
+
+def _local_type_geometric(datum: EmbeddingDatum) -> Vec:
+    """The gaps of local_type_geometric in least terms, in sort order; no canonical form."""
     sk = skeleton(datum)
     moved = translate(_barycenter(sk.partition, datum.f * datum.r), [-l for l in sk.levels])
-    return local_type(to_centralizer(moved, datum.f))
+    return _local_gaps(to_centralizer(moved, datum.f))
 
 
 def embedding_type_from_local(mu: CyclicClass, f: int, r: int) -> EmbeddingDatum:
@@ -142,6 +147,62 @@ class CorrespondenceReport(NamedTuple):
     mismatch: str | None
 
 
+def _class_kernel(datum: EmbeddingDatum) -> tuple[tuple[Fraction, ...], Vec | None, Vec | None, str | None]:
+    """The direct side of the check: (mu, comp, direct, site).
+
+    mu are the direct coordinates.  When f * r clears them, comp is a
+    vector of the complement class of f * r times mu and direct is that
+    vector over its gcd, in order; else both are None.  site is the
+    first failing check, integrality then the complement identity, or
+    None.  Both checks depend on the rotation class of the datum only.
+    """
+    mu = local_type_direct(datum)
+    ft = datum.f * datum.r
+    scaled = []
+    for v in mu:
+        n, d = v.as_integer_ratio()
+        if ft % d:
+            return mu, None, None, "integrality"
+        scaled.append(n * (ft // d))
+    comp = _complement(scaled)
+    g = gcd(*scaled)
+    site = None if _rotation_of(comp, flatten(datum.rows)) else "complement-identity"
+    return mu, comp, tuple(x // g for x in scaled), site
+
+
+def _member_kernel(datum: EmbeddingDatum, direct: Vec | None) -> tuple[Vec, str | None]:
+    """The geometric side of the check: (gaps, site).
+
+    gaps are the geometric route's least-terms vector; site is
+    "pipeline-agreement" unless direct, from _class_kernel, is a
+    rotation of them, and None then.  Equal vectors have equal totals,
+    so the denominators need no check of their own.  The route reads
+    the matrix shape, so it runs for every member of a rotation class.
+    """
+    gaps = _local_type_geometric(datum)
+    agree = direct is not None and _rotation_of(direct, gaps)
+    return gaps, None if agree else "pipeline-agreement"
+
+
+def _checks(datum: EmbeddingDatum) -> tuple[tuple[Fraction, ...], Vec | None, Vec, str | None]:
+    """(mu, comp, gaps, site): both kernels, then the first failing site or None.
+
+    Both routes run before a site is chosen, so an exception in either
+    comes first; then integrality, the complement identity and the
+    agreement of the two routes.  Every comparison is by rotation, so
+    no canonical form is built.
+    """
+    mu, comp, direct, site = _class_kernel(datum)
+    gaps, agreement = _member_kernel(datum, direct)
+    return mu, comp, gaps, site or agreement
+
+
+def _report(datum: EmbeddingDatum, mu, comp, gaps, site) -> CorrespondenceReport:
+    """The report of the outcome of _checks, with its classes canonical."""
+    complement_class = None if comp is None else CyclicClass(comp)
+    return CorrespondenceReport(datum, mu, CyclicClass(gaps), complement_class, site is None, site)
+
+
 def verify_correspondence(datum: EmbeddingDatum) -> CorrespondenceReport:
     """Check the datum against its local type from every side.
 
@@ -149,23 +210,10 @@ def verify_correspondence(datum: EmbeddingDatum) -> CorrespondenceReport:
     coordinates, complement identity against the flattening, agreement
     of the two pipelines) and the first failing site is recorded.  Both
     identities compare by rotation, so they do not trust canonical forms.
+    The sweep runs the same checks and builds the report only for a
+    failing datum.
     """
-    mu = local_type_direct(datum)
-    geometric = local_type_geometric(datum)
-    ft = datum.f * datum.r
-    mismatch = comp = None
-    if any(ft % v.denominator for v in mu):
-        mismatch = "integrality"
-    else:
-        scaled = [v.numerator * (ft // v.denominator) for v in mu]
-        comp = complement(scaled)
-        g = gcd(*scaled)
-        if not _rotation_of(comp, flatten(datum.rows)):
-            mismatch = "complement-identity"
-        # equal vectors have equal totals, so the denominators need no check of their own
-        elif not _rotation_of(tuple(x // g for x in scaled), geometric):
-            mismatch = "pipeline-agreement"
-    return CorrespondenceReport(datum, mu, geometric, comp, mismatch is None, mismatch)
+    return _report(datum, *_checks(datum))
 
 
 def report_to_json(report: CorrespondenceReport) -> dict:

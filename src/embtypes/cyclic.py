@@ -120,23 +120,23 @@ def classes_equal(a: Sequence[int] | CyclicClass, b: Sequence[int] | CyclicClass
     return _rotation_of(_class_entries(a), _class_entries(b))
 
 
-def _pairs(v: Vec) -> list[tuple[int, int]]:
-    """Pairs of a non-negative vector, starting at its first nonzero entry."""
+def _pairs(v: Vec) -> tuple[list[int], list[int]]:
+    """Values and gaps of the pairs of a non-negative vector, from its first nonzero entry."""
     support = [i for i, e in enumerate(v) if e != 0]
     if not support:
         raise ValueError("zero vector has no pairs form")
-    ends = support[1:] + [support[0] + len(v)]
-    return [(v[i], end - i) for i, end in zip(support, ends)]
+    gaps = [end - i for i, end in zip(support, support[1:] + [support[0] + len(v)])]
+    return [v[i] for i in support], gaps
 
 
-def _unfold(pairs: Sequence[tuple[int, int]]) -> CyclicClass:
-    """Class of the vector with the given pairs, taken as valid."""
-    out = [0] * sum(b for _, b in pairs)
+def _unfold(values: Sequence[int], gaps: Sequence[int]) -> Vec:
+    """Vector with the given values and gaps, taken as valid, starting at the first value."""
+    out = [0] * sum(gaps)
     pos = 0
-    for a, b in pairs:
+    for a, b in zip(values, gaps):
         out[pos] = a
         pos += b
-    return CyclicClass(tuple(out))
+    return tuple(out)
 
 
 def pairs_of(entries: Sequence[int] | CyclicClass) -> tuple[tuple[int, int], ...]:
@@ -149,7 +149,7 @@ def pairs_of(entries: Sequence[int] | CyclicClass) -> tuple[tuple[int, int], ...
     only depends on the class.  The zero vector has no pairs form.
     """
     v = _ints(entries, "entries must be non-negative integers", 0)
-    return _least_rotation(tuple(_pairs(v)))
+    return _least_rotation(tuple(zip(*_pairs(v))))
 
 
 def from_pairs(form: Iterable[Sequence[int]]) -> CyclicClass:
@@ -162,7 +162,7 @@ def from_pairs(form: Iterable[Sequence[int]]) -> CyclicClass:
     if not pairs:
         raise ValueError("pairs form must be nonempty")
     _ints(flatten(pairs), "values and gaps must be positive integers", 1)
-    return _unfold(pairs)
+    return CyclicClass(_unfold(*zip(*pairs)))
 
 
 def complement(entries: Sequence[int] | CyclicClass) -> CyclicClass:
@@ -173,8 +173,16 @@ def complement(entries: Sequence[int] | CyclicClass) -> CyclicClass:
     classes of length s and sum t to classes of length t and sum s, and
     applying it twice gives back the original class.
     """
-    p = _pairs(_ints(entries, "entries must be non-negative integers", 0))
-    return _unfold([(b, a) for (_, b), (a, _) in zip(p, p[1:] + p[:1])])
+    return CyclicClass(_complement(_ints(entries, "entries must be non-negative integers", 0)))
+
+
+def _complement(v: Vec) -> Vec:
+    """A vector of the complement class of v, taken as valid; no canonical form.
+
+    Gap k of v becomes a value, and value k + 1 the gap after it.
+    """
+    values, gaps = _pairs(v)
+    return _unfold(gaps, values[1:] + values[:1])
 
 
 def make_matrix(rows: Sequence[Sequence[int]]) -> Matrix:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from embtypes.apartment import (
     ChainFace,
+    _local_gaps,
     barycenter,
     chain_face,
     chain_of_order,
@@ -377,6 +378,13 @@ def test_local_type_matches_chamber_coordinates(x):
     mu = chamber_coordinates(x)
     lt = local_type(x)
     assert class_of_fractions(mu) == (lt.vector, lt.total)
+
+
+@given(points())
+def test_the_local_type_core_returns_a_vector_of_the_local_type(x):
+    gaps = _local_gaps(x)
+    assert CyclicClass(gaps) == local_type(x)
+    assert class_of_fractions(chamber_coordinates(x)) == (least_rotation(gaps), sum(gaps))
 
 
 @given(chains(), st.integers(1, 6))

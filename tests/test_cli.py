@@ -18,7 +18,7 @@ import pytest
 
 from embtypes import cli, correspondence, cyclic
 from embtypes.cli import VerifyRange, main, run_verify
-from embtypes.correspondence import embedding_type_from_local
+from embtypes.correspondence import embedding_type_from_local, report_to_json
 from embtypes.cyclic import CyclicClass, reshape
 from embtypes.embedding import data_equivalent, datum_from_json, make_datum
 from embtypes.enumeration import count_data, enumerate_data
@@ -298,13 +298,38 @@ def test_the_fr8_slice_prints_its_pinned_summary():
     assert digest == "9c4e9cb5684ae086310d54737d3f830d89ecbe7b0f3182fd6796d44c2273ac0e"
 
 
-def test_a_canonicalizer_that_merges_classes_fails_the_sweep(monkeypatch):
-    # sorting maps distinct classes with equal entries to one form; the sweep
-    # compares classes by rotation, so it must not certify through it
-    monkeypatch.setattr(cyclic, "_least_rotation", lambda t: tuple(sorted(t)))
+def _sweep_lines(rng):
     buf = io.StringIO()
-    assert run_verify(VerifyRange(2, 2, 4, 4), stream=buf) == 1
-    total, fail = (int(x.split("=")[1]) for x in buf.getvalue().splitlines()[-2].split()[1:])
+    return run_verify(rng, stream=buf), buf.getvalue()
+
+
+def test_a_canonicalizer_that_merges_classes_leaves_the_sweep_alone(monkeypatch):
+    # sorting maps distinct classes with equal entries to one form; the sweep
+    # builds no canonical form for a passing datum, so it prints the same bytes
+    rng = VerifyRange(2, 2, 4, 4)
+    code, out = _sweep_lines(rng)
+    monkeypatch.setattr(cyclic, "_least_rotation", lambda t: tuple(sorted(t)))
+    assert code == 0 and _sweep_lines(rng) == (code, out)
+
+
+def test_a_passing_datum_builds_no_class_and_no_report(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built for a passing datum")
+
+    monkeypatch.setattr(cyclic, "_least_rotation", refuse)  # every nonempty CyclicClass calls it
+    monkeypatch.setattr(correspondence, "CorrespondenceReport", refuse)
+    assert _sweep_lines(VerifyRange(2, 2, 4, 4))[0] == 0
+
+
+def test_a_reversed_geometric_route_fails_the_sweep_under_a_merging_canonicalizer(monkeypatch):
+    # a reversed vector sorts like the original, so a verifier that compared
+    # canonical forms would pass every datum; comparing by rotation it must not
+    monkeypatch.setattr(cyclic, "_least_rotation", lambda t: tuple(sorted(t)))
+    original = correspondence._local_type_geometric
+    monkeypatch.setattr(correspondence, "_local_type_geometric", lambda datum: original(datum)[::-1])
+    code, out = _sweep_lines(VerifyRange(2, 2, 4, 4))
+    assert code == 1
+    total, fail = (int(x.split("=")[1]) for x in out.splitlines()[-2].split()[1:])
     assert total == 65 and 0 < fail <= total
 
 
@@ -322,11 +347,7 @@ def _off_complement(original):
 
 
 def _off_geometric(original):
-    def geometric(datum):
-        lt = original(datum)
-        return CyclicClass(lt.vector + (0,))
-
-    return geometric
+    return lambda datum: original(datum) + (0,)
 
 
 def _raising(original):
@@ -336,12 +357,19 @@ def _raising(original):
     return geometric
 
 
+# Each mutant replaces a function the verifier's checks call in correspondence.
 MISMATCH_SITES = [
     ("local_type_direct", _off_direct, "integrality"),
-    ("complement", _off_complement, "complement-identity"),
-    ("local_type_geometric", _off_geometric, "pipeline-agreement"),
-    ("local_type_geometric", _raising, "exception"),
+    ("_complement", _off_complement, "complement-identity"),
+    ("_local_type_geometric", _off_geometric, "pipeline-agreement"),
+    ("_local_type_geometric", _raising, "exception"),
 ]
+
+
+def _site_id(name, mutate, site):
+    # a private core `_x` returns the raw vector of the public `x`, so an id
+    # names the route by its public name
+    return f"{name.lstrip('_')}-{mutate.__name__}-{site}"
 
 
 # At jobs 2 the failures come back from forked pool workers, which inherit
@@ -349,7 +377,7 @@ MISMATCH_SITES = [
 @pytest.mark.parametrize(
     "name, mutate, site, jobs",
     [
-        pytest.param(name, mutate, site, jobs, id=f"{name}-{mutate.__name__}-{site}{suffix}")
+        pytest.param(name, mutate, site, jobs, id=_site_id(name, mutate, site) + suffix)
         for jobs, suffix in (("1", ""), ("2", "-jobs2"))
         for name, mutate, site in MISMATCH_SITES
     ],
@@ -377,6 +405,24 @@ def test_verifier_reports_each_mismatch_site(tmp_path, capsys, monkeypatch, name
     assert all(set(failure) == {"f", "r", "m", "rows", "mismatch"} for failure in payload["failures"])
 
 
+@pytest.mark.parametrize(
+    "name, mutate, site",
+    [pytest.param(*case, id=_site_id(*case)) for case in MISMATCH_SITES],
+)
+def test_a_failure_is_reported_as_verify_correspondence_reports_it(monkeypatch, name, mutate, site):
+    monkeypatch.setattr(correspondence, name, mutate(getattr(correspondence, name)))
+    data = [d for f, r, m in VerifyRange(2, 2, 3, 4).configurations() for d in enumerate_data(f, r, m)]
+    for datum in data:
+        failure = cli._verify_one(datum)
+        assert failure["mismatch"] == site
+        if site == "exception":
+            with pytest.raises(RuntimeError) as raised:
+                correspondence.verify_correspondence(datum)
+            assert failure["error"] == f"RuntimeError: {raised.value}"
+        else:
+            assert failure == report_to_json(correspondence.verify_correspondence(datum))
+
+
 def test_failures_keep_their_order_across_batches(tmp_path, capsys, monkeypatch):
     # failing shards spread over several pool batches, with two mismatch sites
     failing = {(1, 1, 3, 3): "exception", (1, 2, 4, 2): "pipeline-agreement", (2, 1, 3, 1): "exception",
@@ -385,16 +431,16 @@ def test_failures_keep_their_order_across_batches(tmp_path, capsys, monkeypatch)
     rng = VerifyRange(2, 2, 4, 4)
     tasks = [(f, r, m, head) for f, r, m in rng.configurations() for head in range(m + 1)]
     assert len({tasks.index(t) // cli.SHARDS_PER_BATCH for t in failing}) == len(failing)
-    original = correspondence.local_type_geometric
+    original = correspondence._local_type_geometric
 
     def geometric(datum):
         site = failing.get((datum.f, datum.r, datum.m, datum.rows[0][0]))
         if site == "exception":
             raise RuntimeError("planted")
         lt = original(datum)
-        return CyclicClass(lt.vector + (0,)) if site else lt
+        return lt + (0,) if site else lt
 
-    monkeypatch.setattr(correspondence, "local_type_geometric", geometric)
+    monkeypatch.setattr(correspondence, "_local_type_geometric", geometric)
     runs = []
     for jobs in ("1", "2"):
         path = tmp_path / f"sweep-{jobs}.json"
@@ -484,10 +530,14 @@ def test_python_m_embtypes():
 
 
 def _modules_after(code):
-    """sys.modules of a fresh interpreter with PYTHONPATH=src once code has run."""
+    """sys.modules of a fresh interpreter with PYTHONPATH=src once code has run.
+
+    With -S, so that no .pth file of the site packages imports a module the
+    program would then seem not to load.
+    """
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     probe = f"import sys\n{code}\nprint(*sys.modules, file=sys.stderr)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, check=True)
     return set(proc.stderr.split())
 
 
@@ -498,11 +548,12 @@ def _modules_after(code):
 )
 def test_a_command_loads_no_module_it_does_not_use(argv):
     # every command runs in a fresh process that pays for its imports: the
-    # records are named tuples, and only a pool imports multiprocessing
+    # records are named tuples, only a pool imports multiprocessing and only
+    # a report tempfile
     bare = _modules_after("")
     loaded = _modules_after(f"from embtypes.cli import main\nassert main({argv!r}) == 0")
     assert "embtypes.cli" in loaded
-    assert sorted((loaded - bare) & {"dataclasses", "inspect", "multiprocessing"}) == []
+    assert sorted((loaded - bare) & {"dataclasses", "inspect", "multiprocessing", "tempfile"}) == []
 
 
 def test_installed_entry_point(tmp_path):

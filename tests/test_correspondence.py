@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import cProfile
+import inspect
 import pstats
 import random
+import textwrap
 from fractions import Fraction as F
 from itertools import product
 from math import ceil, lcm
@@ -23,8 +26,12 @@ from embtypes.apartment import (
     translate,
 )
 from embtypes.cyclic import CyclicClass, canonical, flatten, rotate
+from embtypes import cli
 from embtypes.correspondence import (
     CorrespondenceReport,
+    _checks,
+    _class_kernel,
+    _member_kernel,
     embedding_type_from_local,
     from_centralizer,
     intersection_property,
@@ -299,3 +306,48 @@ def test_report_wire_form():
     assert obj["datum"]["rows"] == [[1, 0], [1, 3], [0, 0], [0, 1], [0, 1], [0, 0]]
     assert obj["mu"] == [[1, 4], [1, 6], [1, 12], [0, 1], [0, 1], [1, 3], [1, 6]]
     assert obj["complement"] == [0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 3]
+
+
+def _names_in(fn) -> set[str]:
+    """Every name and attribute the source of fn mentions."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+    }
+
+
+def _names_reached(fn) -> set[str]:
+    """The names of fn and of every embtypes function it reaches through its module's globals."""
+    names, seen, todo = set(), set(), [fn]
+    while todo:
+        f = inspect.unwrap(todo.pop())  # a cached function is read through __wrapped__
+        if f in seen:
+            continue
+        seen.add(f)
+        for name in _names_in(f):
+            names.add(name)
+            target = inspect.unwrap(f.__globals__.get(name))
+            if inspect.isfunction(target) and target.__module__.startswith("embtypes."):
+                todo.append(target)
+    return names
+
+
+CANONICAL = {"CyclicClass", "canonical", "_least_rotation", "CorrespondenceReport"}
+DIRECT_ROUTE = {"local_type_direct", "_unit_fractions", "_complement"}
+GEOMETRIC_ROUTE = {"_local_type_geometric", "skeleton", "_barycenter", "translate", "to_centralizer", "_local_gaps"}
+
+
+def test_the_checks_of_a_datum_build_no_canonical_form():
+    # the sweep compares by rotation only, so a passing datum needs no
+    # canonical class and no report; _verify_one builds them for a failure
+    for kernel in (_class_kernel, _member_kernel, _checks):
+        assert not _names_reached(kernel) & CANONICAL, kernel.__name__
+    assert not _names_in(cli._verify_one) & CANONICAL
+
+
+def test_the_kernels_keep_the_routes_independent():
+    # their agreement is what the sweep certifies, so neither kernel may
+    # reach the other's route
+    direct, geometric = _names_reached(_class_kernel), _names_reached(_member_kernel)
+    assert DIRECT_ROUTE <= direct and not direct & GEOMETRIC_ROUTE
+    assert GEOMETRIC_ROUTE <= geometric and not geometric & DIRECT_ROUTE

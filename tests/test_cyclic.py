@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from embtypes.cyclic import (
     CyclicClass,
+    _complement,
     _least_rotation,
     canonical,
     classes_equal,
@@ -198,6 +199,17 @@ def test_complement_is_the_swap_of_its_pairs(v):
     p = pairs_of(v)
     swapped = [(p[j][1], p[(j + 1) % len(p)][0]) for j in range(len(p))]
     assert complement(v) == from_pairs(swapped)
+
+
+@given(vectors)
+def test_the_complement_core_returns_a_vector_of_the_complement_class(v):
+    assume(any(v))
+    raw = _complement(tuple(v))
+    assert CyclicClass(raw) == complement(v)
+    # complement is written on the core, so check the core against the swap of the pairs too
+    p = pairs_of(v)
+    swapped = [(p[j][1], p[(j + 1) % len(p)][0]) for j in range(len(p))]
+    assert least_rotation(raw) == from_pairs(swapped).vector
 
 
 def test_complement_swaps_length_and_sum():
