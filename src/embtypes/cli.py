@@ -17,8 +17,8 @@ from typing import NamedTuple, Sequence, TextIO
 from .apartment import coordinate_class
 from .correspondence import _checks, _report, embedding_type_from_local, report_to_json, verify_correspondence
 from .cyclic import _ints, canonical, classes_equal, complement, flatten, make_matrix, pairs_of
-from .embedding import datum_from_json, datum_to_json
-from .enumeration import count_data, enumerate_data
+from .embedding import _datum, datum_from_json, datum_to_json
+from .enumeration import _shard, count_data, enumerate_data
 
 # Consecutive shards per pool message: batches cut the main process's round
 # trips to a quarter, and are still small enough to keep every worker busy.
@@ -67,35 +67,34 @@ def Pool(processes: int):
     return multiprocessing.Pool(processes)
 
 
-def _verify_one(datum):
-    """None for a passing datum, else its failure's wire form; a crash is site `exception`.
-
-    It runs the checks of verify_correspondence and builds their report,
-    with its canonical classes, only for a failing datum.
-    """
-    try:
-        mu, comp, gaps, site = _checks(datum)
-    except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        return {"datum": datum_to_json(datum), "verdict": "fail", "mismatch": "exception", "error": error}
-    return None if site is None else report_to_json(_report(datum, mu, comp, gaps, site))
-
-
 def _verify_shard(task):
     """Verify the shard (f, r, m, head) of M(f, r; m), enumerated here.
 
     Returns the number of data and their failures in enumeration order,
     so a pool worker receives four integers and sends back no datum
-    that passed.
+    that passed.  The checks run on flat vectors; only a failure is built.
     """
+    f, r, m, _ = task
     count = 0
     failures = []
-    for datum in enumerate_data(*task):
-        count += 1
-        failure = _verify_one(datum)
-        if failure is not None:
-            failures.append(failure)
+    for count, v in enumerate(_shard(*task), 1):
+        try:
+            outcome = _checks(f, r, v)
+            if outcome[-1] is None:
+                continue
+        except Exception as exc:
+            outcome = exc
+        failures.append(_failure(f, r, m, v, outcome))
     return count, failures
+
+
+def _failure(f, r, m, v, outcome) -> dict:
+    """Wire form of the flat datum v, as verify_correspondence reports what _checks gave or raised."""
+    datum = _datum(f, r, m, v)
+    if isinstance(outcome, Exception):
+        error = f"{type(outcome).__name__}: {outcome}"
+        return {"datum": datum_to_json(datum), "verdict": "fail", "mismatch": "exception", "error": error}
+    return report_to_json(_report(datum, *outcome))
 
 
 def _temp_beside(path: str) -> tuple[int, str]:

@@ -14,18 +14,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import sub
 from typing import NamedTuple
 
 from .apartment import (
-    ApartmentPoint,
-    _local_gaps,
-    barycenter,
-    square_lattice_exponents,
-    standard_chain,
-    translate,
+    ApartmentPoint, _local_gaps, barycenter, square_lattice_exponents, standard_chain, translate,
 )
 from .cyclic import CyclicClass, Vec, _complement, _ints, _rotation_of, complement, flatten, reshape
-from .embedding import EmbeddingDatum, datum_to_json, make_datum, skeleton
+from .embedding import EmbeddingDatum, _skeleton, _vector, datum_to_json, make_datum
 
 
 @lru_cache(maxsize=None)
@@ -37,16 +33,6 @@ def _barycenter(partition: tuple[int, ...], d: int) -> ApartmentPoint:
     the direct route does not read this cache.
     """
     return barycenter(standard_chain(partition), d)
-
-
-@lru_cache(maxsize=None)
-def _unit_fractions(n: int) -> tuple[Fraction, ...]:
-    """(0/n, 1/n, ..., n/n), built once per n for the direct route.
-
-    Fractions are immutable, so every datum with f * r = n can share
-    them; the geometric route does not read this table.
-    """
-    return tuple(Fraction(k, n) for k in range(n + 1))
 
 
 def to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
@@ -88,38 +74,38 @@ def intersection_property(x: ApartmentPoint, f: int) -> bool:
 
 
 def local_type_direct(datum: EmbeddingDatum) -> tuple[Fraction, ...]:
-    """Ordered local coordinates of the datum, by the counting formula.
+    """Ordered local coordinates of the datum, by the counting formula."""
+    nums, den = _local_type_direct(datum.f, datum.r, _vector(datum))
+    return tuple(Fraction(n, den) for n in nums)
 
-    Over the smaller field the datum is the single column flatten(rows)
-    of length f * r; let a_j be the row holding the j-th of the m units.
-    The coordinates are the cyclic differences of the a_j over f * r,
-    wrap term first.
+
+def _local_type_direct(f: int, r: int, v: Vec) -> tuple[Vec, int]:
+    """(numerators, denominator f * r) of the direct coordinates of the flat datum v.
+
+    Over the smaller field the datum is the single column v; with a_j
+    the row of its j-th unit, the coordinates are the cyclic differences
+    of the a_j over f * r, wrap term first.
     """
-    ft = datum.f * datum.r
-    a = [i for i, v in enumerate(flatten(datum.rows)) for _ in range(v)]
-    units = _unit_fractions(ft)
-    mu = [units[ft - a[-1] + a[0]]]
-    mu.extend(units[a[j] - a[j - 1]] for j in range(1, datum.m))
-    return tuple(mu)
+    ft = f * r
+    a = [i for i, x in enumerate(v) if x for _ in range(x)]
+    return (ft - a[-1] + a[0], *map(sub, a[1:], a)), ft
 
 
 def local_type_geometric(datum: EmbeddingDatum) -> CyclicClass:
-    """Local type of the datum, through the geometry of the apartment.
+    """Local type of the datum, through the geometry of the apartment."""
+    return CyclicClass(_local_type_geometric(datum.f, datum.r, _vector(datum)))
+
+
+def _local_type_geometric(f: int, r: int, v: Vec) -> Vec:
+    """The gaps of local_type_geometric of the flat datum v in least terms; no canonical form.
 
     Barycenter of the standard chain of the column sums in denominator
-    f * r, moved to the diagonal frame by the skeleton levels, then
-    read in the centralizer apartment.  The barycenter is shared per
-    (partition, f * r); translate, centralizer and local type run for
-    every datum.
+    f * r (shared per key), moved to the diagonal frame by the skeleton
+    levels, then read in the centralizer apartment.
     """
-    return CyclicClass(_local_type_geometric(datum))
-
-
-def _local_type_geometric(datum: EmbeddingDatum) -> Vec:
-    """The gaps of local_type_geometric in least terms, in sort order; no canonical form."""
-    sk = skeleton(datum)
-    moved = translate(_barycenter(sk.partition, datum.f * datum.r), [-l for l in sk.levels])
-    return _local_gaps(to_centralizer(moved, datum.f))
+    partition, levels = _skeleton(r, v)
+    moved = translate(_barycenter(partition, f * r), [-l for l in levels])
+    return _local_gaps(to_centralizer(moved, f))
 
 
 def embedding_type_from_local(mu: CyclicClass, f: int, r: int) -> EmbeddingDatum:
@@ -147,58 +133,56 @@ class CorrespondenceReport(NamedTuple):
     mismatch: str | None
 
 
-def _class_kernel(datum: EmbeddingDatum) -> tuple[tuple[Fraction, ...], Vec | None, Vec | None, str | None]:
-    """The direct side of the check: (mu, comp, direct, site).
+def _class_kernel(f: int, r: int, v: Vec) -> tuple[tuple[Vec, int], Vec | None, Vec | None, str | None]:
+    """The direct side of the check on the flat datum v: (coords, comp, direct, site).
 
-    mu are the direct coordinates.  When f * r clears them, comp is a
-    vector of the complement class of f * r times mu and direct is that
-    vector over its gcd, in order; else both are None.  site is the
-    first failing check, integrality then the complement identity, or
-    None.  Both checks depend on the rotation class of the datum only.
+    coords are the direct (numerators, denominator).  When the
+    denominator divides f * r, comp is a vector of the complement class
+    of f * r times the coordinates and direct is that vector over its
+    gcd; else both are None.  site is the first failing check,
+    integrality then the complement identity, or None.
     """
-    mu = local_type_direct(datum)
-    ft = datum.f * datum.r
-    scaled = []
-    for v in mu:
-        n, d = v.as_integer_ratio()
-        if ft % d:
-            return mu, None, None, "integrality"
-        scaled.append(n * (ft // d))
+    coords = nums, den = _local_type_direct(f, r, v)
+    ft = f * r
+    if ft % den:
+        return coords, None, None, "integrality"
+    scaled = [n * (ft // den) for n in nums]
     comp = _complement(scaled)
     g = gcd(*scaled)
-    site = None if _rotation_of(comp, flatten(datum.rows)) else "complement-identity"
-    return mu, comp, tuple(x // g for x in scaled), site
+    site = None if _rotation_of(comp, v) else "complement-identity"
+    return coords, comp, tuple(x // g for x in scaled), site
 
 
-def _member_kernel(datum: EmbeddingDatum, direct: Vec | None) -> tuple[Vec, str | None]:
-    """The geometric side of the check: (gaps, site).
+def _member_kernel(f: int, r: int, v: Vec, direct: Vec | None) -> tuple[Vec, str | None]:
+    """The geometric side of the check on the flat datum v: (gaps, site).
 
-    gaps are the geometric route's least-terms vector; site is
-    "pipeline-agreement" unless direct, from _class_kernel, is a
-    rotation of them, and None then.  Equal vectors have equal totals,
-    so the denominators need no check of their own.  The route reads
-    the matrix shape, so it runs for every member of a rotation class.
+    gaps are the geometric route's least-terms vector; site is None if
+    direct, from _class_kernel, is a rotation of them (equal vectors
+    have equal totals, so the denominators need no check of their own),
+    else "pipeline-agreement".  The route reads the matrix shape, so it
+    runs for every member of a rotation class.
     """
-    gaps = _local_type_geometric(datum)
+    gaps = _local_type_geometric(f, r, v)
     agree = direct is not None and _rotation_of(direct, gaps)
     return gaps, None if agree else "pipeline-agreement"
 
 
-def _checks(datum: EmbeddingDatum) -> tuple[tuple[Fraction, ...], Vec | None, Vec, str | None]:
-    """(mu, comp, gaps, site): both kernels, then the first failing site or None.
+def _checks(f: int, r: int, v: Vec) -> tuple[tuple[Vec, int], Vec | None, Vec, str | None]:
+    """(coords, comp, gaps, site) of the flat datum v: both kernels, then the first failing site or None.
 
     Both routes run before a site is chosen, so an exception in either
     comes first; then integrality, the complement identity and the
-    agreement of the two routes.  Every comparison is by rotation, so
-    no canonical form is built.
+    agreement of the two routes.  Every comparison is by rotation.
     """
-    mu, comp, direct, site = _class_kernel(datum)
-    gaps, agreement = _member_kernel(datum, direct)
-    return mu, comp, gaps, site or agreement
+    coords, comp, direct, site = _class_kernel(f, r, v)
+    gaps, agreement = _member_kernel(f, r, v, direct)
+    return coords, comp, gaps, site or agreement
 
 
-def _report(datum: EmbeddingDatum, mu, comp, gaps, site) -> CorrespondenceReport:
-    """The report of the outcome of _checks, with its classes canonical."""
+def _report(datum: EmbeddingDatum, coords, comp, gaps, site) -> CorrespondenceReport:
+    """The report of the outcome of _checks, with Fraction coordinates and canonical classes."""
+    nums, den = coords
+    mu = tuple(Fraction(n, den) for n in nums)
     complement_class = None if comp is None else CyclicClass(comp)
     return CorrespondenceReport(datum, mu, CyclicClass(gaps), complement_class, site is None, site)
 
@@ -206,14 +190,12 @@ def _report(datum: EmbeddingDatum, mu, comp, gaps, site) -> CorrespondenceReport
 def verify_correspondence(datum: EmbeddingDatum) -> CorrespondenceReport:
     """Check the datum against its local type from every side.
 
-    The checks run in order (integrality of f * r times the direct
-    coordinates, complement identity against the flattening, agreement
-    of the two pipelines) and the first failing site is recorded.  Both
-    identities compare by rotation, so they do not trust canonical forms.
-    The sweep runs the same checks and builds the report only for a
-    failing datum.
+    The checks of _checks run in order (integrality of f * r times the
+    direct coordinates, complement identity against the flattening,
+    agreement of the two pipelines) and the first failing site is
+    recorded.  The sweep builds this report only for a failing datum.
     """
-    return _report(datum, *_checks(datum))
+    return _report(datum, *_checks(datum.f, datum.r, _vector(datum)))
 
 
 def report_to_json(report: CorrespondenceReport) -> dict:

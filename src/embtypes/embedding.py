@@ -52,24 +52,39 @@ class PearlSkeleton(NamedTuple):
     levels: tuple[int, ...]
 
 
+def _datum(f: int, r: int, m: int, v: Sequence[int]) -> EmbeddingDatum:
+    """The datum whose row-major flattening is v, cut into rows of r; no checks."""
+    return EmbeddingDatum(f, r, m, tuple(zip(*[iter(v)] * r)))
+
+
+def _vector(datum: EmbeddingDatum) -> tuple[int, ...]:
+    """flatten(datum.rows), once the rows are checked to form the f x r matrix strided columns need."""
+    rows = datum.rows
+    if len(rows) != datum.f or set(map(len, rows)) != {datum.r}:
+        raise ValueError(f"expected a {datum.f}x{datum.r} matrix")
+    return flatten(rows)
+
+
 def skeleton(datum: EmbeddingDatum) -> PearlSkeleton:
     """Partition and levels of the datum.
 
     Column j contributes its sum to the partition and, scanning its
-    rows upward, repeats level i exactly rows[i][j] times.  The rows
-    must form an f x r matrix: the columns are read with zip, which
-    would silently cut longer rows down to the shortest.
+    rows upward, repeats level i exactly rows[i][j] times.
     """
-    rows = datum.rows
-    if len(rows) != datum.f or set(map(len, rows)) != {datum.r}:
-        raise ValueError(f"expected a {datum.f}x{datum.r} matrix")
-    cols = tuple(zip(*rows))
+    return PearlSkeleton(*_skeleton(datum.r, _vector(datum)))
+
+
+def _skeleton(r: int, v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(partition, levels) of the flat vector v of a matrix with r columns; column j is v[j::r]."""
+    partition = []
     levels = []
-    for col in cols:
-        for i, v in enumerate(col):
-            if v:
-                levels.extend([i] * v)
-    return PearlSkeleton(tuple(map(sum, cols)), tuple(levels))
+    for j in range(r):
+        col = v[j::r]
+        partition.append(sum(col))
+        for i, x in enumerate(col):
+            if x:
+                levels += [i] * x
+    return tuple(partition), tuple(levels)
 
 
 def datum_to_json(datum: EmbeddingDatum) -> dict:

@@ -8,7 +8,7 @@ from operator import sub
 from typing import Iterator
 
 from .cyclic import _ints
-from .embedding import EmbeddingDatum
+from .embedding import EmbeddingDatum, _datum
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -36,20 +36,24 @@ def enumerate_data(f: int, r: int, m: int, head: int | None = None) -> Iterator[
     With head, only the shard of data whose first flattened entry is
     head (0 <= head <= m); the shards for head = 0, ..., m, in turn, are
     the whole set in the same order.  Empty when r > m, since each of
-    the r columns needs a positive entry.  The compositions and the
-    zero-column filter already make every datum valid, so none goes
-    through make_datum.
+    the r columns needs a positive entry.  Every datum is valid by
+    construction, so none goes through make_datum.
     """
     _ints((f, r, m), "f, r and m must be positive integers", 1)
     message = "head must be an integer in 0..m"
     if head is not None and _ints((head,), message, 0)[0] > m:
         raise ValueError(message)
-    n = f * r
     for h in range(m + 1) if head is None else (head,):
-        for tail in _weak_compositions(m - h, n - 1):
-            rows = tuple(zip(*[iter((h,) + tail)] * r))
-            if all(map(any, zip(*rows))):
-                yield EmbeddingDatum(f, r, m, rows)
+        for v in _shard(f, r, m, h):
+            yield _datum(f, r, m, v)
+
+
+def _shard(f: int, r: int, m: int, head: int) -> Iterator[tuple[int, ...]]:
+    """The flattenings of the shard (f, r, m, head) of enumerate_data, in order; column j is v[j::r]."""
+    for tail in _weak_compositions(m - head, f * r - 1):
+        v = (head,) + tail
+        if all([any(v[j::r]) for j in range(r)]):
+            yield v
 
 
 def count_data(f: int, r: int, m: int) -> int:

@@ -11,12 +11,11 @@ import subprocess
 import sys
 import time
 import venv
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from embtypes import cli, correspondence, cyclic
+from embtypes import cli, correspondence, cyclic, embedding, enumeration
 from embtypes.cli import VerifyRange, main, run_verify
 from embtypes.correspondence import embedding_type_from_local, report_to_json
 from embtypes.cyclic import CyclicClass, reshape
@@ -199,7 +198,7 @@ def test_verify_report_probe_leaves_no_file_when_the_sweep_crashes(tmp_path, mon
     def crash(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "enumerate_data", crash)
+    monkeypatch.setattr(cli, "_shard", crash)
     with pytest.raises(KeyboardInterrupt):
         run_verify(VerifyRange(1, 1, 1, 1), str(tmp_path / "sweep.json"))
     assert list(tmp_path.iterdir()) == []
@@ -218,7 +217,7 @@ def test_a_crash_at_jobs_2_stops_the_queued_shards(tmp_path, monkeypatch):
         time.sleep(0.1)
         return iter(())
 
-    monkeypatch.setattr(cli, "enumerate_data", shard)
+    monkeypatch.setattr(cli, "_shard", shard)
     rng = VerifyRange(1, 1, 8, 1, jobs=2)
     shards = sum(m + 1 for _, _, m in rng.configurations())
     with pytest.raises(ValueError, match="broken shard"):
@@ -234,7 +233,7 @@ def test_a_crash_in_verify_exits_3(capsys, monkeypatch, error):
     def crash(*args):
         raise error("enumeration broke")
 
-    monkeypatch.setattr(cli, "enumerate_data", crash)
+    monkeypatch.setattr(cli, "_shard", crash)
     code, out, err = run_cli(capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1")
     assert code == 3 and out == ""
     assert err.splitlines()[-1] == f"error: internal: {error.__name__}: enumeration broke"
@@ -321,12 +320,26 @@ def test_a_passing_datum_builds_no_class_and_no_report(monkeypatch):
     assert _sweep_lines(VerifyRange(2, 2, 4, 4))[0] == 0
 
 
+def test_a_passing_datum_builds_no_datum_and_no_fraction(monkeypatch):
+    # the sweep checks flat vectors, so only a failing datum is cut into rows
+    # and given Fraction coordinates; the output is that of the row-based sweep
+    def refuse(*args):
+        raise AssertionError("built for a passing datum")
+
+    monkeypatch.setattr(correspondence, "Fraction", refuse)
+    monkeypatch.setattr(embedding, "EmbeddingDatum", refuse)
+    monkeypatch.setattr(enumeration, "EmbeddingDatum", refuse)
+    code, out = _sweep_lines(VerifyRange(2, 2, 4, 4))
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert code == 0 and digest == "b6bdcdca27fc0cfe65ec3c62440f19aea8eada4f8f44ee613bdcadc871d0c1e7"
+
+
 def test_a_reversed_geometric_route_fails_the_sweep_under_a_merging_canonicalizer(monkeypatch):
     # a reversed vector sorts like the original, so a verifier that compared
     # canonical forms would pass every datum; comparing by rotation it must not
     monkeypatch.setattr(cyclic, "_least_rotation", lambda t: tuple(sorted(t)))
     original = correspondence._local_type_geometric
-    monkeypatch.setattr(correspondence, "_local_type_geometric", lambda datum: original(datum)[::-1])
+    monkeypatch.setattr(correspondence, "_local_type_geometric", lambda f, r, v: original(f, r, v)[::-1])
     code, out = _sweep_lines(VerifyRange(2, 2, 4, 4))
     assert code == 1
     total, fail = (int(x.split("=")[1]) for x in out.splitlines()[-2].split()[1:])
@@ -334,10 +347,10 @@ def test_a_reversed_geometric_route_fails_the_sweep_under_a_merging_canonicalize
 
 
 def _off_direct(original):
-    # a direct route whose first coordinate f * r cannot clear
-    def direct(datum):
-        mu = original(datum)
-        return (mu[0] + Fraction(1, 2 * datum.f * datum.r),) + mu[1:]
+    # a direct route whose first coordinate f * r cannot clear: it adds 1 / (2 * f * r)
+    def direct(f, r, v):
+        nums, den = original(f, r, v)
+        return (2 * nums[0] + 1, *(2 * n for n in nums[1:])), 2 * den
 
     return direct
 
@@ -347,19 +360,19 @@ def _off_complement(original):
 
 
 def _off_geometric(original):
-    return lambda datum: original(datum) + (0,)
+    return lambda f, r, v: original(f, r, v) + (0,)
 
 
 def _raising(original):
-    def geometric(datum):
-        raise RuntimeError(f"no route for m={datum.m}")
+    def geometric(f, r, v):
+        raise RuntimeError(f"no route for m={sum(v)}")
 
     return geometric
 
 
 # Each mutant replaces a function the verifier's checks call in correspondence.
 MISMATCH_SITES = [
-    ("local_type_direct", _off_direct, "integrality"),
+    ("_local_type_direct", _off_direct, "integrality"),
     ("_complement", _off_complement, "complement-identity"),
     ("_local_type_geometric", _off_geometric, "pipeline-agreement"),
     ("_local_type_geometric", _raising, "exception"),
@@ -411,16 +424,19 @@ def test_verifier_reports_each_mismatch_site(tmp_path, capsys, monkeypatch, name
 )
 def test_a_failure_is_reported_as_verify_correspondence_reports_it(monkeypatch, name, mutate, site):
     monkeypatch.setattr(correspondence, name, mutate(getattr(correspondence, name)))
-    data = [d for f, r, m in VerifyRange(2, 2, 3, 4).configurations() for d in enumerate_data(f, r, m)]
-    for datum in data:
-        failure = cli._verify_one(datum)
-        assert failure["mismatch"] == site
-        if site == "exception":
-            with pytest.raises(RuntimeError) as raised:
-                correspondence.verify_correspondence(datum)
-            assert failure["error"] == f"RuntimeError: {raised.value}"
-        else:
-            assert failure == report_to_json(correspondence.verify_correspondence(datum))
+    tasks = [(f, r, m, head) for f, r, m in VerifyRange(2, 2, 3, 4).configurations() for head in range(m + 1)]
+    for task in tasks:
+        count, failures = cli._verify_shard(task)
+        data = list(enumerate_data(*task))
+        assert count == len(failures) == len(data)
+        for failure, datum in zip(failures, data):
+            assert failure["mismatch"] == site
+            if site == "exception":
+                with pytest.raises(RuntimeError) as raised:
+                    correspondence.verify_correspondence(datum)
+                assert failure["error"] == f"RuntimeError: {raised.value}"
+            else:
+                assert failure == report_to_json(correspondence.verify_correspondence(datum))
 
 
 def test_failures_keep_their_order_across_batches(tmp_path, capsys, monkeypatch):
@@ -433,11 +449,11 @@ def test_failures_keep_their_order_across_batches(tmp_path, capsys, monkeypatch)
     assert len({tasks.index(t) // cli.SHARDS_PER_BATCH for t in failing}) == len(failing)
     original = correspondence._local_type_geometric
 
-    def geometric(datum):
-        site = failing.get((datum.f, datum.r, datum.m, datum.rows[0][0]))
+    def geometric(f, r, v):
+        site = failing.get((f, r, sum(v), v[0]))
         if site == "exception":
             raise RuntimeError("planted")
-        lt = original(datum)
+        lt = original(f, r, v)
         return lt + (0,) if site else lt
 
     monkeypatch.setattr(correspondence, "_local_type_geometric", geometric)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import cProfile
 import inspect
+import io
 import pstats
 import random
 import textwrap
@@ -31,6 +32,7 @@ from embtypes.correspondence import (
     CorrespondenceReport,
     _checks,
     _class_kernel,
+    _local_type_direct,
     _member_kernel,
     embedding_type_from_local,
     from_centralizer,
@@ -41,9 +43,9 @@ from embtypes.correspondence import (
     to_centralizer,
     verify_correspondence,
 )
-from embtypes.embedding import data_equivalent, make_datum, skeleton
-from embtypes.enumeration import enumerate_data
-from oracles import brute_square_entry
+from embtypes.embedding import EmbeddingDatum, _skeleton, data_equivalent, make_datum, skeleton
+from embtypes.enumeration import _shard, enumerate_data
+from oracles import brute_square_entry, skeleton_of
 
 WORKED = make_datum(((1, 0), (1, 3), (0, 0), (0, 1), (0, 1), (0, 0)), 6, 2, 7)
 WORKED_MU = tuple(F(n, 12) for n in (3, 2, 1, 0, 0, 4, 2))
@@ -187,22 +189,42 @@ def test_direct_coordinates_match_the_counting_formula_on_every_small_datum():
             assert all(type(v) is F for v in mu)
 
 
-def test_verifier_builds_no_fraction_once_warm():
-    # the direct route shares its Fractions per f * r, and nothing else builds one
-    data = [d for f, r, m in product(range(1, 4), range(1, 4), range(1, 6)) for d in enumerate_data(f, r, m)]
-    for datum in {d.f * d.r: d for d in data}.values():
-        verify_correspondence(datum)
+def test_the_sweep_builds_no_fraction():
+    # the kernels check flat integer vectors; only a failing datum's report has Fractions
     prof = cProfile.Profile()
     prof.enable()
-    reports = [verify_correspondence(d) for d in data]
+    code = cli.run_verify(cli.VerifyRange(3, 3, 5, 9), stream=io.StringIO())
     prof.disable()
-    assert all(report.verdict for report in reports)
+    assert code == 0
     built = sum(
         calls
         for (path, _, func), (_, calls, *_rest) in pstats.Stats(prof).stats.items()
         if func == "__new__" and path.endswith("fractions.py")
     )
     assert built == 0
+
+
+def test_the_flat_layers_agree_with_the_datum_layers():
+    # every head of every small shard: the flat vectors, the direct
+    # numerators over f * r and the strided columns
+    for f, r, m in product(range(1, 4), range(1, 4), range(1, 6)):
+        ft = f * r
+        for head in range(m + 1):
+            data = list(enumerate_data(f, r, m, head))
+            assert list(_shard(f, r, m, head)) == [flatten(d.rows) for d in data]
+            for d in data:
+                v = flatten(d.rows)
+                assert _local_type_direct(f, r, v) == (tuple(x * ft for x in local_type_direct(d)), ft)
+                assert _skeleton(r, v) == tuple(skeleton(d)) == skeleton_of(d.rows)
+
+
+@pytest.mark.parametrize("rows, m", [(((1, 1, 1), (1,)), 4), (((1, 1), (1,)), 3)])
+def test_the_routes_check_the_shape_of_a_hand_built_datum(rows, m):
+    # the first is flat of length f * r, so a flat route without the check would misread it
+    datum = EmbeddingDatum(2, 2, m, rows)
+    for route in (verify_correspondence, local_type_geometric):
+        with pytest.raises(ValueError, match="^expected a 2x2 matrix$"):
+            route(datum)
 
 
 @given(data())
@@ -316,9 +338,12 @@ def _names_in(fn) -> set[str]:
     }
 
 
-def _names_reached(fn) -> set[str]:
-    """The names of fn and of every embtypes function it reaches through its module's globals."""
-    names, seen, todo = set(), set(), [fn]
+def _names_reached(fn, skip=()) -> set[str]:
+    """The names of fn and of every embtypes function it reaches through its module's globals.
+
+    A function in skip is named but not entered.
+    """
+    names, seen, todo = set(), set(skip), [fn]
     while todo:
         f = inspect.unwrap(todo.pop())  # a cached function is read through __wrapped__
         if f in seen:
@@ -333,16 +358,19 @@ def _names_reached(fn) -> set[str]:
 
 
 CANONICAL = {"CyclicClass", "canonical", "_least_rotation", "CorrespondenceReport"}
-DIRECT_ROUTE = {"local_type_direct", "_unit_fractions", "_complement"}
-GEOMETRIC_ROUTE = {"_local_type_geometric", "skeleton", "_barycenter", "translate", "to_centralizer", "_local_gaps"}
+FLAT = {"Fraction", "_unit_fractions", "EmbeddingDatum"}
+DIRECT_ROUTE = {"_local_type_direct", "_complement"}
+GEOMETRIC_ROUTE = {"_local_type_geometric", "_skeleton", "_barycenter", "translate", "to_centralizer", "_local_gaps"}
 
 
 def test_the_checks_of_a_datum_build_no_canonical_form():
-    # the sweep compares by rotation only, so a passing datum needs no
-    # canonical class and no report; _verify_one builds them for a failure
-    for kernel in (_class_kernel, _member_kernel, _checks):
-        assert not _names_reached(kernel) & CANONICAL, kernel.__name__
-    assert not _names_in(cli._verify_one) & CANONICAL
+    # the sweep compares flat vectors by rotation only, so a passing datum
+    # needs no canonical class, no report, no rows and no Fraction;
+    # cli._failure builds them for a failing one
+    for fn in (_class_kernel, _member_kernel, _checks, _shard):
+        assert not _names_reached(fn) & (CANONICAL | FLAT), fn.__name__
+    shard_loop = _names_reached(cli._verify_shard, skip={cli._failure})
+    assert "_failure" in shard_loop and not shard_loop & (CANONICAL | FLAT)
 
 
 def test_the_kernels_keep_the_routes_independent():
