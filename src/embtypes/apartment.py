@@ -249,7 +249,11 @@ def translate(x: ApartmentPoint, shift: Sequence[int]) -> ApartmentPoint:
     """
     if len(shift) != len(x.num):
         raise ValueError("shift length must match the point")
-    shift = _ints(shift, "shift entries must be integers")
+    return _translate(x, _ints(shift, "shift entries must be integers"))
+
+
+def _translate(x: ApartmentPoint, shift: Sequence[int]) -> ApartmentPoint:
+    """translate by shift, ints of the point's length; no checks."""
     den = lcm(x.den, x.d)
     up, step = den // x.den, den // x.d
     return _point(x.d, [n * up + s * step for n, s in zip(x.num, shift)], den)
@@ -262,7 +266,7 @@ def _least_terms(ints: Sequence[int]) -> tuple[int, ...]:
     of the rational coordinates it stands for.
     """
     g = gcd(*ints)
-    return tuple(ints) if g == 1 else tuple(x // g for x in ints)
+    return tuple(ints) if g == 1 else tuple([x // g for x in ints])
 
 
 def gap_class(values: Sequence[Rational]) -> CyclicClass:

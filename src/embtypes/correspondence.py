@@ -18,7 +18,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .apartment import (
-    ApartmentPoint, _local_gaps, barycenter, square_lattice_exponents, standard_chain, translate,
+    ApartmentPoint, _local_gaps, _translate, barycenter, square_lattice_exponents, standard_chain,
 )
 from .cyclic import CyclicClass, Vec, _complement, _ints, _rotation_of, complement, flatten, reshape
 from .embedding import EmbeddingDatum, _skeleton, _vector, datum_to_json, make_datum
@@ -42,6 +42,11 @@ def to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
     so in the affine chart this divides by f.
     """
     _ints((f,), "f must be a positive integer", 1)
+    return _to_centralizer(x, f)
+
+
+def _to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
+    """to_centralizer for a positive int f; raises only when f does not divide d."""
     if x.d % f:
         raise ValueError("not applicable: E must be unramified of degree dividing d")
     return ApartmentPoint(x.d // f, x.num, x.den)
@@ -104,8 +109,8 @@ def _local_type_geometric(f: int, r: int, v: Vec) -> Vec:
     levels, then read in the centralizer apartment.
     """
     partition, levels = _skeleton(r, v)
-    moved = translate(_barycenter(partition, f * r), [-l for l in levels])
-    return _local_gaps(to_centralizer(moved, f))
+    moved = _translate(_barycenter(partition, f * r), [-l for l in levels])
+    return _local_gaps(_to_centralizer(moved, f))
 
 
 def embedding_type_from_local(mu: CyclicClass, f: int, r: int) -> EmbeddingDatum:
@@ -146,11 +151,12 @@ def _class_kernel(f: int, r: int, v: Vec) -> tuple[tuple[Vec, int], Vec | None, 
     ft = f * r
     if ft % den:
         return coords, None, None, "integrality"
-    scaled = [n * (ft // den) for n in nums]
+    k = ft // den
+    scaled = nums if k == 1 else tuple([n * k for n in nums])
     comp = _complement(scaled)
     g = gcd(*scaled)
     site = None if _rotation_of(comp, v) else "complement-identity"
-    return coords, comp, tuple(x // g for x in scaled), site
+    return coords, comp, scaled if g == 1 else tuple([x // g for x in scaled]), site
 
 
 def _member_kernel(f: int, r: int, v: Vec, direct: Vec | None) -> tuple[Vec, str | None]:

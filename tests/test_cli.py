@@ -18,7 +18,7 @@ import pytest
 from embtypes import cli, correspondence, cyclic, embedding, enumeration
 from embtypes.cli import VerifyRange, main, run_verify
 from embtypes.correspondence import embedding_type_from_local, report_to_json
-from embtypes.cyclic import CyclicClass, reshape
+from embtypes.cyclic import CyclicClass, complement, flatten, reshape
 from embtypes.embedding import data_equivalent, datum_from_json, make_datum
 from embtypes.enumeration import count_data, enumerate_data
 
@@ -370,6 +370,17 @@ def _raising(original):
     return geometric
 
 
+def _divisor_direct(original):
+    # a direct route over a proper divisor of f * r, its least prime factor
+    # taken out: integrality holds, but f * r times the coordinates sums past
+    # f * r, so no complement of it is a rotation of the datum
+    def direct(f, r, v):
+        nums, den = original(f, r, v)
+        return nums, den // next(p for p in range(2, den + 1) if den % p == 0)
+
+    return direct
+
+
 # Each mutant replaces a function the verifier's checks call in correspondence.
 MISMATCH_SITES = [
     ("_local_type_direct", _off_direct, "integrality"),
@@ -437,6 +448,25 @@ def test_a_failure_is_reported_as_verify_correspondence_reports_it(monkeypatch, 
                 assert failure["error"] == f"RuntimeError: {raised.value}"
             else:
                 assert failure == report_to_json(correspondence.verify_correspondence(datum))
+
+
+def test_a_denominator_below_f_r_is_reported_as_verify_correspondence_reports_it(monkeypatch):
+    # the class kernel scales the coordinates by f * r // den, which is 1 on
+    # every datum the direct route gets right; here it is at least 2
+    monkeypatch.setattr(correspondence, "_local_type_direct", _divisor_direct(correspondence._local_type_direct))
+    tasks = [
+        (f, r, m, head) for f, r, m in VerifyRange(2, 2, 3, 4).configurations() if f * r > 1 for head in range(m + 1)
+    ]
+    for task in tasks:
+        f, r, _, _ = task
+        count, failures = cli._verify_shard(task)
+        data = list(enumerate_data(*task))
+        assert count == len(failures) == len(data)
+        for failure, datum in zip(failures, data):
+            assert failure == report_to_json(correspondence.verify_correspondence(datum))
+            nums, den = correspondence._local_type_direct(f, r, flatten(datum.rows))
+            assert failure["mismatch"] == "complement-identity" and f * r // den >= 2
+            assert failure["complement"] == list(complement([n * (f * r // den) for n in nums]))
 
 
 def test_failures_keep_their_order_across_batches(tmp_path, capsys, monkeypatch):

@@ -14,10 +14,11 @@ from itertools import product
 from math import ceil, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from embtypes.apartment import (
+    _translate,
     barycenter,
     coordinate_class,
     local_type,
@@ -30,10 +31,12 @@ from embtypes.cyclic import CyclicClass, canonical, flatten, rotate
 from embtypes import cli
 from embtypes.correspondence import (
     CorrespondenceReport,
+    _barycenter,
     _checks,
     _class_kernel,
     _local_type_direct,
     _member_kernel,
+    _to_centralizer,
     embedding_type_from_local,
     from_centralizer,
     intersection_property,
@@ -104,6 +107,24 @@ def test_centralizer_round_trips(pair):
     x, f = pair
     assert from_centralizer(to_centralizer(x, f), f) == x
     assert to_centralizer(from_centralizer(x, f), f) == x
+
+
+@given(points_with_degree(), st.data())
+def test_the_geometric_cores_match_the_checked_maps(pair, data):
+    x, f = pair
+    shift = data.draw(st.lists(st.integers(-30, 30), min_size=len(x.num), max_size=len(x.num)))
+    assert _translate(x, shift) == translate(x, shift)
+    assert _to_centralizer(x, f) == to_centralizer(x, f)
+
+
+@given(points_with_degree(), st.integers(1, 30))
+def test_the_centralizer_core_refuses_a_degree_not_dividing_d(pair, f):
+    # the core skips only the type check of f: a point outside the
+    # centralizer's apartment is a geometric condition, still raised
+    x, _ = pair
+    assume(x.d % f)
+    with pytest.raises(ValueError, match="not applicable"):
+        _to_centralizer(x, f)
 
 
 def _worked_moved():
@@ -343,7 +364,7 @@ def _names_reached(fn, skip=()) -> set[str]:
 
     A function in skip is named but not entered.
     """
-    names, seen, todo = set(), set(skip), [fn]
+    names, seen, todo = set(), set(map(inspect.unwrap, skip)), [fn]
     while todo:
         f = inspect.unwrap(todo.pop())  # a cached function is read through __wrapped__
         if f in seen:
@@ -360,7 +381,8 @@ def _names_reached(fn, skip=()) -> set[str]:
 CANONICAL = {"CyclicClass", "canonical", "_least_rotation", "CorrespondenceReport"}
 FLAT = {"Fraction", "_unit_fractions", "EmbeddingDatum"}
 DIRECT_ROUTE = {"_local_type_direct", "_complement"}
-GEOMETRIC_ROUTE = {"_local_type_geometric", "_skeleton", "_barycenter", "translate", "to_centralizer", "_local_gaps"}
+GEOMETRIC_ROUTE = {"_local_type_geometric", "_skeleton", "_barycenter", "_translate", "_to_centralizer", "_local_gaps"}
+VALIDATION = {"_ints", "_over_common_denominator"}
 
 
 def test_the_checks_of_a_datum_build_no_canonical_form():
@@ -379,3 +401,12 @@ def test_the_kernels_keep_the_routes_independent():
     direct, geometric = _names_reached(_class_kernel), _names_reached(_member_kernel)
     assert DIRECT_ROUTE <= direct and not direct & GEOMETRIC_ROUTE
     assert GEOMETRIC_ROUTE <= geometric and not geometric & DIRECT_ROUTE
+
+
+def test_the_shard_loop_validates_nothing():
+    # the loop builds every vector, level and degree a datum's checks read,
+    # so the per-datum path re-checks none of them; the cached _barycenter
+    # checks its chain and d on a cache miss only, once per key
+    reached = _names_reached(cli._verify_shard, skip={cli._failure, _barycenter})
+    assert {"_failure", "_barycenter", "_translate", "_to_centralizer"} <= reached
+    assert not reached & VALIDATION
