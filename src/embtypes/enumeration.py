@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from operator import sub
+from operator import add, sub
 from typing import Iterator
 
 from .cyclic import _ints
@@ -36,8 +37,10 @@ def enumerate_data(f: int, r: int, m: int, head: int | None = None) -> Iterator[
     With head, only the shard of data whose first flattened entry is
     head (0 <= head <= m); the shards for head = 0, ..., m, in turn, are
     the whole set in the same order.  Empty when r > m, since each of
-    the r columns needs a positive entry.  Every datum is valid by
-    construction, so none goes through make_datum.
+    the r columns needs a positive entry.  The shards build only valid
+    vectors: the first f - 1 rows come from a weak composition, and the
+    last row fills their empty columns (see _shard), so no candidate is
+    built and dropped, and none goes through make_datum.
     """
     _ints((f, r, m), "f, r and m must be positive integers", 1)
     message = "head must be an integer in 0..m"
@@ -49,11 +52,50 @@ def enumerate_data(f: int, r: int, m: int, head: int | None = None) -> Iterator[
 
 
 def _shard(f: int, r: int, m: int, head: int) -> Iterator[tuple[int, ...]]:
-    """The flattenings of the shard (f, r, m, head) of enumerate_data, in order; column j is v[j::r]."""
-    for tail in _weak_compositions(m - head, f * r - 1):
-        v = (head,) + tail
-        if all([any(v[j::r]) for j in range(r)]):
-            yield v
+    """The flattenings of the shard (f, r, m, head) of enumerate_data, in order; column j is v[j::r].
+
+    Only valid vectors are built.  For f >= 2 a weak composition of
+    m - head into (f - 1) * r parts gives, after head, the first f - 1
+    rows and, as its last part, the slack s left for the last row.  That
+    row must put a unit in each column the prefix leaves empty (need),
+    so it is need plus a weak composition of s - sum(need) into r parts.
+    The prefix fixes every entry before the last row, and adding the
+    fixed vector need keeps the order of the compositions, so the
+    vectors come out ascending.  With one column every composition is
+    valid, since m >= 1.  With f == 1 the single row has head in column
+    0 and at least 1 in every other column.
+    """
+    if r == 1:
+        for tail in _weak_compositions(m - head, f - 1):
+            yield (head,) + tail
+        return
+    if f == 1:
+        rest = m - head - (r - 1)
+        if head and rest >= 0:
+            ones = (1,) * (r - 1)
+            for row in _last_rows(rest, r - 1):
+                yield (head,) + tuple(map(add, row, ones))
+        return
+    columns = range(r)
+    for comp in _weak_compositions(m - head, f * r - r):
+        prefix = (head,) + comp[:-1]
+        need = [0 if any(prefix[j::r]) else 1 for j in columns]
+        short = sum(need)
+        if short > comp[-1]:
+            continue
+        rows = _last_rows(comp[-1] - short, r)
+        if short:
+            for row in rows:
+                yield prefix + tuple(map(add, row, need))
+        else:
+            for row in rows:
+                yield prefix + row
+
+
+@lru_cache(maxsize=None)
+def _last_rows(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """The weak compositions of total into parts, kept for the next prefix that needs them."""
+    return tuple(_weak_compositions(total, parts))
 
 
 def count_data(f: int, r: int, m: int) -> int:

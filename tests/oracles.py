@@ -80,6 +80,16 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(out)
 
 
+def valid_flattenings(f: int, r: int, m: int) -> list[tuple[int, ...]]:
+    """Row-major flattenings of the f x r matrices with entry sum m and no zero column, ascending.
+
+    Filters every weak composition of m into f * r parts by its columns.
+    """
+    return sorted(
+        v for v in weak_compositions(m, f * r) if all(any(v[i * r + j] for i in range(f)) for j in range(r))
+    )
+
+
 def skeleton_of(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Partition and levels of a matrix, from the definition.
 

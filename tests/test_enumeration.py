@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from embtypes.cyclic import flatten
 from embtypes.embedding import make_datum
-from embtypes.enumeration import _weak_compositions, count_data, enumerate_data
-from oracles import class_count, least_rotation
+from embtypes.enumeration import _shard, _weak_compositions, count_data, enumerate_data
+from oracles import class_count, least_rotation, valid_flattenings
 
 
 def test_single_cell_pool():
@@ -76,6 +76,37 @@ def test_shards_by_first_entry_concatenate_to_the_enumeration():
     # with f * r = 1 the single entry is m, so only the last shard holds a datum
     shards = [list(enumerate_data(1, 1, 3, head)) for head in range(4)]
     assert shards == [[], [], [], [make_datum([(3,)], 1, 1, 3)]]
+
+
+def test_shards_match_the_filter_oracle():
+    # every configuration of the gate (f<=6, r<=4, f*r<=12, m<=7) and every head
+    for f, r, m in product(range(1, 7), range(1, 5), range(1, 8)):
+        if f * r <= 12:
+            expected = valid_flattenings(f, r, m)
+            for head in range(m + 1):
+                assert list(_shard(f, r, m, head)) == [v for v in expected if v[0] == head], (f, r, m, head)
+    # the wide shapes, where most weak compositions have an empty column
+    for f, r, m in product(range(1, 3), range(1, 17), range(1, 10)):
+        if f * r <= 16:
+            assert sum(1 for head in range(m + 1) for _ in _shard(f, r, m, head)) == count_data(f, r, m), (f, r, m)
+
+
+def test_shard_edge_cases():
+    # one row: column 0 is head, so head 0 leaves it empty when r > 1,
+    # and the other r - 1 columns need r - 1 of the m - head units
+    assert list(_shard(1, 3, 5, 0)) == []
+    assert list(_shard(1, 3, 5, 4)) == [] and list(_shard(1, 2, 3, 3)) == []
+    assert list(_shard(1, 3, 5, 3)) == [(3, 1, 1)]
+    # one column: every composition has its column filled
+    for f, m in product(range(2, 5), range(1, 5)):
+        assert [v for head in range(m + 1) for v in _shard(f, 1, m, head)] == list(_weak_compositions(m, f))
+    # more columns than units
+    for f, head in product(range(1, 4), range(3)):
+        assert list(_shard(f, 3, 2, head)) == []
+    # a single entry holds all of m
+    assert [list(_shard(1, 1, 4, head)) for head in range(5)] == [[], [], [], [], [(4,)]]
+    # the prefix (2, 0) leaves column 1 empty with no units left for it
+    assert list(_shard(2, 2, 2, 2)) == []
 
 
 def test_weak_compositions_match_brute_force():
