@@ -73,18 +73,29 @@ def _verify_shard(task):
     Returns the number of data and their failures in enumeration order,
     so a pool worker receives four integers and sends back no datum
     that passed.  The checks run on flat vectors; only a failure is built.
+    Raises RuntimeError when a vector does not start with head, is not
+    above the one before it, or has not m units (the direct route's
+    numerator count), so the data checked are distinct members of the
+    shard; run_verify compares their number with count_data.
     """
-    f, r, m, _ = task
+    f, r, m, head = task
     count = 0
     failures = []
+    last = ()
     for count, v in enumerate(_shard(*task), 1):
+        if v[0] != head or v <= last:
+            message = f"shard {head} yields {v} after {last}, not a new datum with first entry {head}"
+            raise RuntimeError(f"f={f} r={r} m={m}: {message}")
+        last = v
         try:
             outcome = _checks(f, r, v)
-            if outcome[-1] is None:
-                continue
+            units = len(outcome[0][0])
         except Exception as exc:
-            outcome = exc
-        failures.append(_failure(f, r, m, v, outcome))
+            outcome, units = exc, sum(v)
+        if units != m:
+            raise RuntimeError(f"f={f} r={r} m={m}: shard {head} yields {v}, with {units} units, not {m}")
+        if isinstance(outcome, Exception) or outcome[-1] is not None:
+            failures.append(_failure(f, r, m, v, outcome))
     return count, failures
 
 
@@ -116,7 +127,9 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     it.  One line per configuration plus a total, in enumeration order,
     so two runs over the same range print identical summaries whatever
     the worker count; a configuration's line is printed when its last
-    shard returns.  The first failing datum, if any, is printed as a
+    shard returns, once its data count is checked against count_data,
+    so with the checks of _verify_shard a pass covers M(f, r; m)
+    exactly; a wrong count raises RuntimeError.  The first failing datum, if any, is printed as a
     full JSON report; with report_path the summary and all failures are
     written to a JSON file as well, through a new temporary file beside
     it that then replaces it, so an interrupted write leaves no
@@ -146,6 +159,9 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
             data += count
             fail += len(failed)
             if head == m:
+                expected = count_data(f, r, m)
+                if data != expected:
+                    raise RuntimeError(f"f={f} r={r} m={m}: the shards yield {data} data, count_data gives {expected}")
                 total += data
                 configs.append({"f": f, "r": r, "m": m, "data": data, "fail": fail})
                 print(f"f={f} r={r} m={m} data={data} fail={fail}", file=out)
@@ -275,7 +291,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    bad_input = (ValueError, KeyError, TypeError, OSError)
+    bad_input = (ValueError, TypeError, OSError)
     try:
         if args.command != "verify":
             return _dispatch(args)

@@ -146,10 +146,9 @@ def pairs_of(entries: Sequence[int] | CyclicClass) -> tuple[tuple[int, int], ...
     gap of the last pair wraps past the end, so the gaps sum to the
     vector's length and the values to its total.  Rotating the vector
     rotates the pair list, so the form, returned in its least rotation,
-    only depends on the class.  The zero vector has no pairs form.
+    only depends on the class.  An empty or zero vector has no pairs form.
     """
-    v = _ints(entries, "entries must be non-negative integers", 0)
-    return _least_rotation(tuple(zip(*_pairs(v))))
+    return _least_rotation(tuple(zip(*_pairs(_class_entries(entries)))))
 
 
 def from_pairs(form: Iterable[Sequence[int]]) -> CyclicClass:
@@ -173,7 +172,7 @@ def complement(entries: Sequence[int] | CyclicClass) -> CyclicClass:
     classes of length s and sum t to classes of length t and sum s, and
     applying it twice gives back the original class.
     """
-    return CyclicClass(_complement(_ints(entries, "entries must be non-negative integers", 0)))
+    return CyclicClass(_complement(_class_entries(entries)))
 
 
 def _complement(v: Vec) -> Vec:

@@ -93,5 +93,11 @@ def datum_to_json(datum: EmbeddingDatum) -> dict:
 
 
 def datum_from_json(obj: dict) -> EmbeddingDatum:
-    """Datum from its wire form; make_datum checks every field."""
+    """Datum from its wire form, an object with exactly the keys f, r, m and rows; make_datum checks every field."""
+    keys = ("f", "r", "m", "rows")
+    if not isinstance(obj, dict):
+        raise ValueError("a datum must be a JSON object with the keys f, r, m and rows")
+    wrong = [f"missing key {k!r}" for k in keys if k not in obj] + [f"unknown key {k!r}" for k in obj if k not in keys]
+    if wrong:
+        raise ValueError("datum: " + ", ".join(wrong))
     return make_datum(obj["rows"], obj["f"], obj["r"], obj["m"])

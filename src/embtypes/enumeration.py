@@ -31,28 +31,21 @@ def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(sub, cuts + end, (0,) + cuts))
 
 
-def enumerate_data(f: int, r: int, m: int, head: int | None = None) -> Iterator[EmbeddingDatum]:
+def enumerate_data(f: int, r: int, m: int) -> Iterator[EmbeddingDatum]:
     """Every datum of M(f, r; m) once, ascending in the flattened matrix.
 
-    With head, only the shard of data whose first flattened entry is
-    head (0 <= head <= m); the shards for head = 0, ..., m, in turn, are
-    the whole set in the same order.  Empty when r > m, since each of
-    the r columns needs a positive entry.  The shards build only valid
-    vectors: the first f - 1 rows come from a weak composition, and the
-    last row fills their empty columns (see _shard), so no candidate is
-    built and dropped, and none goes through make_datum.
+    The shards of _shard for head = 0, ..., m, in turn.  Empty when
+    r > m, since each of the r columns needs a positive entry.  Only
+    valid vectors are built, so none goes through make_datum.
     """
     _ints((f, r, m), "f, r and m must be positive integers", 1)
-    message = "head must be an integer in 0..m"
-    if head is not None and _ints((head,), message, 0)[0] > m:
-        raise ValueError(message)
-    for h in range(m + 1) if head is None else (head,):
-        for v in _shard(f, r, m, h):
+    for head in range(m + 1):
+        for v in _shard(f, r, m, head):
             yield _datum(f, r, m, v)
 
 
 def _shard(f: int, r: int, m: int, head: int) -> Iterator[tuple[int, ...]]:
-    """The flattenings of the shard (f, r, m, head) of enumerate_data, in order; column j is v[j::r].
+    """The flattenings of the data of M(f, r; m) whose first entry is head, ascending; column j is v[j::r].
 
     Only valid vectors are built.  For f >= 2 a weak composition of
     m - head into (f - 1) * r parts gives, after head, the first f - 1
@@ -61,14 +54,9 @@ def _shard(f: int, r: int, m: int, head: int) -> Iterator[tuple[int, ...]]:
     so it is need plus a weak composition of s - sum(need) into r parts.
     The prefix fixes every entry before the last row, and adding the
     fixed vector need keeps the order of the compositions, so the
-    vectors come out ascending.  With one column every composition is
-    valid, since m >= 1.  With f == 1 the single row has head in column
-    0 and at least 1 in every other column.
+    vectors come out ascending.  With f == 1 the single row has head in
+    column 0 and at least 1 in every other column.
     """
-    if r == 1:
-        for tail in _weak_compositions(m - head, f - 1):
-            yield (head,) + tail
-        return
     if f == 1:
         rest = m - head - (r - 1)
         if head and rest >= 0:

@@ -97,12 +97,28 @@ def test_embedding_type_rejects_incompatible_mu(capsys):
         ("canon", "[true,0]"),
         ("local-type", "--datum", '{"f": 1, "r": 1, "m": 2.7, "rows": [[2]]}'),
         ("embedding-type", "--mu", "[[1,0]]", "--f", "1", "--r", "1"),
+        ("complement", "[]"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "datum, message",
+    [
+        ("[1]", "a datum must be a JSON object with the keys f, r, m and rows"),
+        ("{}", "datum: missing key 'f', missing key 'r', missing key 'm', missing key 'rows'"),
+        ('{"f": 1, "r": 1, "rows": [[1]]}', "datum: missing key 'm'"),
+        ('{"f": 1, "r": 1, "m": 1, "rows": [[1]], "n": 1}', "datum: unknown key 'n'"),
+    ],
+    ids=["array", "empty", "missing", "unknown"],
+)
+def test_a_datum_has_exactly_four_keys(capsys, datum, message):
+    code, out, err = run_cli(capsys, "local-type", "--datum", datum)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_smallest_range(capsys):
@@ -437,8 +453,9 @@ def test_a_failure_is_reported_as_verify_correspondence_reports_it(monkeypatch, 
     monkeypatch.setattr(correspondence, name, mutate(getattr(correspondence, name)))
     tasks = [(f, r, m, head) for f, r, m in VerifyRange(2, 2, 3, 4).configurations() for head in range(m + 1)]
     for task in tasks:
+        f, r, m, _ = task
         count, failures = cli._verify_shard(task)
-        data = list(enumerate_data(*task))
+        data = [embedding._datum(f, r, m, v) for v in enumeration._shard(*task)]
         assert count == len(failures) == len(data)
         for failure, datum in zip(failures, data):
             assert failure["mismatch"] == site
@@ -458,15 +475,53 @@ def test_a_denominator_below_f_r_is_reported_as_verify_correspondence_reports_it
         (f, r, m, head) for f, r, m in VerifyRange(2, 2, 3, 4).configurations() if f * r > 1 for head in range(m + 1)
     ]
     for task in tasks:
-        f, r, _, _ = task
+        f, r, m, _ = task
         count, failures = cli._verify_shard(task)
-        data = list(enumerate_data(*task))
+        data = [embedding._datum(f, r, m, v) for v in enumeration._shard(*task)]
         assert count == len(failures) == len(data)
         for failure, datum in zip(failures, data):
             assert failure == report_to_json(correspondence.verify_correspondence(datum))
             nums, den = correspondence._local_type_direct(f, r, flatten(datum.rows))
             assert failure["mismatch"] == "complement-identity" and f * r // den >= 2
             assert failure["complement"] == list(complement([n * (f * r // den) for n in nums]))
+
+
+# Each fault rewrites the vectors of one shard of f=2 r=2 m=3, whose shards
+# 1 and 2 are (1, 0, 0, 2), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0),
+# (1, 2, 0, 0) and (2, 0, 0, 1), (2, 1, 0, 0); every datum still passes its
+# checks, so only the coverage checks can stop the sweep.
+COVERAGE_FAULTS = [
+    ("dropped", 1, lambda vs: vs[:-1], "the shards yield 11 data, count_data gives 12"),
+    (
+        "duplicated", 1, lambda vs: vs[:1] * 2 + vs[2:],
+        "shard 1 yields (1, 0, 0, 2) after (1, 0, 0, 2), not a new datum with first entry 1",
+    ),
+    (
+        "from-the-shard-before", 2, lambda vs: [(1, 2, 0, 0)] + vs[1:],
+        "shard 2 yields (1, 2, 0, 0) after (), not a new datum with first entry 2",
+    ),
+    ("heavier", 1, lambda vs: vs[:-1] + [(1, 2, 0, 1)], "shard 1 yields (1, 2, 0, 1), with 4 units, not 3"),
+]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "head, fault, message", [pytest.param(*case[1:], id=case[0]) for case in COVERAGE_FAULTS]
+)
+def test_a_sweep_that_misses_or_repeats_a_datum_exits_3(capsys, monkeypatch, head, fault, message, jobs):
+    # a pass must cover M(f, r; m) exactly; forked pool workers inherit the stub
+    shard = enumeration._shard
+
+    def faulty(*task):
+        vectors = list(shard(*task))
+        return iter(fault(vectors) if task == (2, 2, 3, head) else vectors)
+
+    monkeypatch.setattr(cli, "_shard", faulty)
+    code, out, err = run_cli(
+        capsys, "verify", "--f-max", "2", "--r-max", "2", "--m-max", "4", "--fr-max", "4", "--jobs", jobs
+    )
+    assert code == 3 and "f=2 r=2 m=3" not in out
+    assert err.splitlines()[-1] == f"error: internal: RuntimeError: f=2 r=2 m=3: {message}"
 
 
 def test_failures_keep_their_order_across_batches(tmp_path, capsys, monkeypatch):
@@ -549,7 +604,7 @@ def test_verify_range_rejects_bad_bounds():
 
 # each call used to pass a bool or a float size through, or crash with TypeError
 NON_INT_SIZES = {
-    "enumerate_data-head": lambda: list(enumerate_data(1, 1, 2, 2.0)),
+    "enumerate_data-m": lambda: list(enumerate_data(1, 1, 2.0)),
     "enumerate_data-f": lambda: list(enumerate_data(True, 1, 1)),
     "count_data": lambda: count_data(1, True, 1),
     "make_datum": lambda: make_datum([[1]], True, True, True),

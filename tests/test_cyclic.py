@@ -169,6 +169,10 @@ def test_pairs_of_known_values():
 def test_pairs_of_zero_vector_rejected():
     with pytest.raises(ValueError):
         pairs_of((0, 0, 0))
+    # the empty vector has no rotation class at all
+    for fn in (pairs_of, complement):
+        with pytest.raises(ValueError, match="empty vector has no rotation class"):
+            fn(())
 
 
 @given(vectors)
