@@ -56,17 +56,6 @@ class VerifyRange(_Bounds):
                     yield f, r, m
 
 
-def Pool(processes: int):
-    """multiprocessing.Pool(processes), imported on the first call.
-
-    A sweep in one process, and every other command, never loads
-    multiprocessing and the modules it pulls in.
-    """
-    import multiprocessing
-
-    return multiprocessing.Pool(processes)
-
-
 def _verify_shard(task):
     """Verify the shard (f, r, m, head) of M(f, r; m), enumerated here.
 
@@ -129,7 +118,10 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     the worker count; a configuration's line is printed when its last
     shard returns, once its data count is checked against count_data,
     so with the checks of _verify_shard a pass covers M(f, r; m)
-    exactly; a wrong count raises RuntimeError.  The first failing datum, if any, is printed as a
+    exactly; a wrong count raises RuntimeError.  An error that escapes a
+    shard ends the sweep, and the pool runs no shard that no worker has
+    taken yet; a worker that dies raises RuntimeError naming the first
+    batch that did not return.  The first failing datum, if any, is printed as a
     full JSON report; with report_path the summary and all failures are
     written to a JSON file as well, through a new temporary file beside
     it that then replaces it, so an interrupted write leaves no
@@ -151,10 +143,17 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     total = data = fail = 0
     batches = -(-len(tasks) // SHARDS_PER_BATCH)
     workers = min(rng.jobs, batches)
-    pool = Pool(workers) if workers > 1 else None
+    pool, broken = None, ()  # () matches no error: without a pool nothing is imported
+    if workers > 1:  # imported here, so that a sweep in one process loads no concurrent.futures
+        import signal
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool as broken
+        # a worker dies of Ctrl-C, rather than catch it and run the batches queued for it
+        pool = ProcessPoolExecutor(workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL))
+    done = 0
     try:
-        results = pool.imap(_verify_shard, tasks, SHARDS_PER_BATCH) if pool else map(_verify_shard, tasks)
-        for (count, failed), (f, r, m, head) in zip(results, tasks):
+        results = pool.map(_verify_shard, tasks, chunksize=SHARDS_PER_BATCH) if pool else map(_verify_shard, tasks)
+        for done, ((count, failed), (f, r, m, head)) in enumerate(zip(results, tasks), 1):
             failures.extend(failed)
             data += count
             fail += len(failed)
@@ -166,14 +165,12 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
                 configs.append({"f": f, "r": r, "m": m, "data": data, "fail": fail})
                 print(f"f={f} r={r} m={m} data={data} fail={fail}", file=out)
                 data = fail = 0
-    except BaseException:
-        if pool:
-            pool.terminate()  # stop the workers now, not after every queued shard
-        raise
+    except broken as exc:  # a worker died, and its batch and every one after it are lost
+        lost = ", ".join(map(str, tasks[done:done + SHARDS_PER_BATCH]))
+        raise RuntimeError(f"the pool broke before shards (f, r, m, head) {lost} returned: {exc}") from exc
     finally:
         if pool:
-            pool.close()
-            pool.join()
+            pool.shutdown(cancel_futures=True)  # run no shard that no worker has taken yet
     print(f"total data={total} fail={len(failures)}", file=out)
     if failures:
         print(json.dumps(failures[0], sort_keys=True), file=out)

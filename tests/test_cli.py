@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -242,6 +244,71 @@ def test_a_crash_at_jobs_2_stops_the_queued_shards(tmp_path, monkeypatch):
     assert len(ran) < shards - 1
 
 
+def _planted_sweep(before_shard: str) -> subprocess.Popen:
+    """`verify` over f, r <= 2, f*r <= 4, m <= 4 at --jobs 2 in a new process group.
+
+    Each worker runs the statement before_shard, with the shard in task,
+    before it verifies that shard.  Output is unbuffered, so each line
+    can be read as it is printed.
+    """
+    script = (
+        "import os, signal, sys, time\n"
+        "from embtypes import cli\n"
+        "verify_shard = cli._verify_shard\n"
+        "def planted(task):\n"
+        f"    {before_shard}\n"
+        "    return verify_shard(task)\n"
+        "cli._verify_shard = planted\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["verify", "--f-max", "2", "--r-max", "2", "--m-max", "4", "--fr-max", "4", "--jobs", "2"]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.Popen(
+        [sys.executable, "-u", "-c", script, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+
+
+def _end_group(proc):
+    """Kill what is left of proc's process group, such as workers a hung sweep keeps."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.communicate()
+
+
+def test_a_dead_worker_at_jobs_2_exits_3_and_names_its_batch():
+    # the other worker returns every other batch while the planted one
+    # sleeps, so the batch of (2, 2, 3, 1) is the first that does not return
+    proc = _planted_sweep("if task == (2, 2, 3, 1): time.sleep(0.5); os.kill(os.getpid(), signal.SIGKILL)")
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        _end_group(proc)
+    assert proc.returncode == 3 and "total" not in out and "f=2 r=2 m=3" not in out
+    lost = "(2, 2, 3, 1), (2, 2, 3, 2), (2, 2, 3, 3), (2, 2, 4, 0)"
+    message = f"error: internal: RuntimeError: the pool broke before shards (f, r, m, head) {lost} returned: "
+    assert err.splitlines()[-1].startswith(message)
+
+
+def test_an_interrupt_at_jobs_2_ends_the_sweep_at_once():
+    # at 0.5 s a shard a batch takes 2 s and the whole sweep 15 s; a worker
+    # that caught the interrupt would go on to the batch queued for it
+    proc = _planted_sweep("time.sleep(0.5)")
+    try:
+        assert proc.stdout.readline().startswith("f=1 r=1 m=1 ")
+        os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C in a terminal, to the sweep and its workers
+        start = time.perf_counter()
+        out, err = proc.communicate(timeout=60)
+        elapsed = time.perf_counter() - start
+    finally:
+        _end_group(proc)
+    assert proc.returncode != 0 and "total" not in out
+    assert "KeyboardInterrupt" in err
+    assert elapsed < 1.5
+
+
 @pytest.mark.parametrize("error", [RuntimeError, ValueError])
 def test_a_crash_in_verify_exits_3(capsys, monkeypatch, error):
     # the bounds are valid, so a raise inside the sweep is not bad input (2)
@@ -285,20 +352,18 @@ def test_verify_starts_no_more_workers_than_shards(monkeypatch):
     sizes = []
 
     class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
 
-        def imap(self, func, tasks, chunksize=1):
+        def map(self, func, tasks, chunksize=1):
             assert chunksize == cli.SHARDS_PER_BATCH
             return map(func, tasks)
 
-        def terminate(self):
-            pass
-
-        close = join = terminate
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            assert cancel_futures
 
     monkeypatch.setattr(cli, "SHARDS_PER_BATCH", 4)
-    monkeypatch.setattr(cli, "Pool", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)  # run_verify imports it per call
     buf = io.StringIO()
     assert run_verify(VerifyRange(1, 1, 1, 1, jobs=64), stream=buf) == 0  # 2 shards
     assert buf.getvalue().endswith("total data=1 fail=0\n")
@@ -311,6 +376,17 @@ def test_the_fr8_slice_prints_its_pinned_summary():
     assert run_verify(VerifyRange(6, 4, 7, 8), stream=buf) == 0
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert digest == "9c4e9cb5684ae086310d54737d3f830d89ecbe7b0f3182fd6796d44c2273ac0e"
+
+
+@pytest.mark.slow
+def test_the_extended_range_prints_its_pinned_summary():
+    # about two minutes on two workers; run_verify checks each
+    # configuration's count against count_data on the way
+    buf = io.StringIO()
+    assert run_verify(VerifyRange(8, 8, 9, 16, jobs=2), stream=buf) == 0
+    assert buf.getvalue().endswith("\ntotal data=5993644 fail=0\n")
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "c5f6d202d67c38a2ae01df61b28cd24f0545f68fc1588d185f1df07b2633c52d"
 
 
 def _sweep_lines(rng):
@@ -649,12 +725,13 @@ def _modules_after(code):
 )
 def test_a_command_loads_no_module_it_does_not_use(argv):
     # every command runs in a fresh process that pays for its imports: the
-    # records are named tuples, only a pool imports multiprocessing and only
-    # a report tempfile
+    # records are named tuples, only a pool imports concurrent.futures and
+    # multiprocessing, and only a report tempfile
     bare = _modules_after("")
     loaded = _modules_after(f"from embtypes.cli import main\nassert main({argv!r}) == 0")
     assert "embtypes.cli" in loaded
-    assert sorted((loaded - bare) & {"dataclasses", "inspect", "multiprocessing", "tempfile"}) == []
+    unused = {"concurrent.futures", "dataclasses", "inspect", "multiprocessing", "tempfile"}
+    assert sorted((loaded - bare) & unused) == []
 
 
 def test_installed_entry_point(tmp_path):
