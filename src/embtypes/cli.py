@@ -63,9 +63,9 @@ def _verify_shard(task):
     so a pool worker receives four integers and sends back no datum
     that passed.  The checks run on flat vectors; only a failure is built.
     Raises RuntimeError when a vector does not start with head, is not
-    above the one before it, or has not m units (the direct route's
-    numerator count), so the data checked are distinct members of the
-    shard; run_verify compares their number with count_data.
+    above the one before it, or does not sum to m, so the data checked
+    are distinct members of the shard; run_verify compares their number
+    with count_data.
     """
     f, r, m, head = task
     count = 0
@@ -75,14 +75,13 @@ def _verify_shard(task):
         if v[0] != head or v <= last:
             message = f"shard {head} yields {v} after {last}, not a new datum with first entry {head}"
             raise RuntimeError(f"f={f} r={r} m={m}: {message}")
+        if sum(v) != m:
+            raise RuntimeError(f"f={f} r={r} m={m}: shard {head} yields {v}, with {sum(v)} units, not {m}")
         last = v
         try:
             outcome = _checks(f, r, v)
-            units = len(outcome[0][0])
         except Exception as exc:
-            outcome, units = exc, sum(v)
-        if units != m:
-            raise RuntimeError(f"f={f} r={r} m={m}: shard {head} yields {v}, with {units} units, not {m}")
+            outcome = exc
         if isinstance(outcome, Exception) or outcome[-1] is not None:
             failures.append(_failure(f, r, m, v, outcome))
     return count, failures

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import sub
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .apartment import (
     ApartmentPoint, _local_gaps, _translate, barycenter, square_lattice_exponents, standard_chain,
@@ -113,18 +113,19 @@ def _local_type_geometric(f: int, r: int, v: Vec) -> Vec:
     return _local_gaps(_to_centralizer(moved, f))
 
 
-def embedding_type_from_local(mu: CyclicClass, f: int, r: int) -> EmbeddingDatum:
-    """A datum whose local type is the given class, whose total must divide f * r.
+def embedding_type_from_local(mu: Sequence[int] | CyclicClass, f: int, r: int) -> EmbeddingDatum:
+    """A datum whose local type is the class of mu, non-negative ints whose total must divide f * r.
 
     Scale the class to f * r, complement, and cut into f rows; the
     result is one representative of the matrix class.
     """
     _ints((f, r), "f and r must be positive integers", 1)
-    den = mu.total
+    entries = _ints(mu, "entries must be non-negative integers", 0)
+    den = sum(entries)
     if den < 1 or (f * r) % den:
         raise ValueError(f"not a local type for ({f},{r})")
-    rows = reshape(complement([e * (f * r // den) for e in mu]), f, r)
-    return make_datum(rows, f, r, len(mu))
+    rows = reshape(complement([e * (f * r // den) for e in entries]), f, r)
+    return make_datum(rows, f, r, len(entries))
 
 
 class CorrespondenceReport(NamedTuple):

@@ -34,8 +34,9 @@ def _ints(values: Iterable, message: str, least: int | None = None) -> tuple:
 
 
 def rotate(entries: Sequence[int], k: int) -> Vec:
-    """Left rotation by k places: (v_k, v_{k+1}, ..., v_{k-1})."""
-    v = tuple(entries)
+    """Left rotation by k places: (v_k, v_{k+1}, ..., v_{k-1}); entries and k of type int exactly."""
+    v = _ints(entries, "entries must be integers")
+    _ints((k,), "k must be an integer")
     if not v:
         raise ValueError("empty vector")
     k %= len(v)
@@ -96,7 +97,7 @@ def _rotation_of(a: tuple, b: tuple) -> bool:
     try:
         return bytes(b) in bytes(a) * 2
     except ValueError:  # an entry outside 0..255: try each rotation
-        return any(rotate(a, k) == b for k in range(len(a)))
+        return any(a[k:] + a[:k] == b for k in range(len(a)))
 
 
 def _class_entries(entries: Sequence[int] | CyclicClass) -> Vec:

@@ -47,31 +47,29 @@ def enumerate_data(f: int, r: int, m: int) -> Iterator[EmbeddingDatum]:
 def _shard(f: int, r: int, m: int, head: int) -> Iterator[tuple[int, ...]]:
     """The flattenings of the data of M(f, r; m) whose first entry is head, ascending; column j is v[j::r].
 
-    Only valid vectors are built.  For f >= 2 a weak composition of
-    m - head into (f - 1) * r parts gives, after head, the first f - 1
-    rows and, as its last part, the slack s left for the last row.  That
-    row must put a unit in each column the prefix leaves empty (need),
-    so it is need plus a weak composition of s - sum(need) into r parts.
-    The prefix fixes every entry before the last row, and adding the
-    fixed vector need keeps the order of the compositions, so the
-    vectors come out ascending.  With f == 1 the single row has head in
-    column 0 and at least 1 in every other column.
+    Only valid vectors are built, by one construction.  The tail is the
+    part of the last row that gets built: all r entries, or the last
+    r - 1 when f == 1, as head is then that row's first entry.  A weak
+    composition of m - head into f * r - tail parts gives the entries
+    between head and the tail and, as its last part, the slack s.  The
+    tail puts a unit in each of its columns the prefix leaves empty
+    (need), so it is need plus a weak composition of s - sum(need) into
+    tail parts.  With one row, column 0 holds head only, so head 0
+    leaves it empty.  The prefix fixes every entry before the tail, and
+    adding the fixed vector need keeps the order of the compositions,
+    so the vectors come out ascending.
     """
-    if f == 1:
-        rest = m - head - (r - 1)
-        if head and rest >= 0:
-            ones = (1,) * (r - 1)
-            for row in _last_rows(rest, r - 1):
-                yield (head,) + tuple(map(add, row, ones))
+    tail = r - (f == 1)
+    if tail < r and not head:
         return
-    columns = range(r)
-    for comp in _weak_compositions(m - head, f * r - r):
+    columns = range(r - tail, r)
+    for comp in _weak_compositions(m - head, f * r - tail):
         prefix = (head,) + comp[:-1]
         need = [0 if any(prefix[j::r]) else 1 for j in columns]
         short = sum(need)
         if short > comp[-1]:
             continue
-        rows = _last_rows(comp[-1] - short, r)
+        rows = _last_rows(comp[-1] - short, tail)
         if short:
             for row in rows:
                 yield prefix + tuple(map(add, row, need))

@@ -20,7 +20,7 @@ import pytest
 from embtypes import cli, correspondence, cyclic, embedding, enumeration
 from embtypes.cli import VerifyRange, main, run_verify
 from embtypes.correspondence import embedding_type_from_local, report_to_json
-from embtypes.cyclic import CyclicClass, complement, flatten, reshape
+from embtypes.cyclic import CyclicClass, complement, flatten, reshape, rotate
 from embtypes.embedding import data_equivalent, datum_from_json, make_datum
 from embtypes.enumeration import count_data, enumerate_data
 
@@ -473,9 +473,20 @@ def _divisor_direct(original):
     return direct
 
 
+def _extra_unit(original):
+    # a direct route with one numerator too many: the sweep's unit check reads
+    # the vector, so the route fails at its own site rather than as a coverage fault
+    def direct(f, r, v):
+        nums, den = original(f, r, v)
+        return (*nums, 0), den
+
+    return direct
+
+
 # Each mutant replaces a function the verifier's checks call in correspondence.
 MISMATCH_SITES = [
     ("_local_type_direct", _off_direct, "integrality"),
+    ("_local_type_direct", _extra_unit, "complement-identity"),
     ("_complement", _off_complement, "complement-identity"),
     ("_local_type_geometric", _off_geometric, "pipeline-agreement"),
     ("_local_type_geometric", _raising, "exception"),
@@ -678,7 +689,7 @@ def test_verify_range_rejects_bad_bounds():
         VerifyRange(1, 1, 1, 1, jobs=0)
 
 
-# each call used to pass a bool or a float size through, or crash with TypeError
+# each call used to pass a bool, a float or a string through, or crash with TypeError
 NON_INT_SIZES = {
     "enumerate_data-m": lambda: list(enumerate_data(1, 1, 2.0)),
     "enumerate_data-f": lambda: list(enumerate_data(True, 1, 1)),
@@ -686,6 +697,9 @@ NON_INT_SIZES = {
     "make_datum": lambda: make_datum([[1]], True, True, True),
     "reshape": lambda: reshape([1, 1], 2.0, 1),
     "embedding_type_from_local": lambda: embedding_type_from_local(CyclicClass((1,)), True, 1),
+    "embedding_type_from_local-mu": lambda: embedding_type_from_local(CyclicClass((True, True)), 1, 2),
+    "rotate-entries": lambda: rotate([1.9, "a"], 1),
+    "rotate-k": lambda: rotate([1, 2], True),
     "VerifyRange": lambda: VerifyRange(1.5, 1, 1, 1),
     "VerifyRange-jobs": lambda: VerifyRange(1, 1, 1, 1, jobs=True),
 }

@@ -318,6 +318,13 @@ def test_embedding_type_rejects_incompatible_denominators():
         embedding_type_from_local(CyclicClass(()), 1, 1)
 
 
+def test_embedding_type_takes_a_plain_vector_as_its_class():
+    # mu is checked as every class is, so a tuple is read as its class, and a bool is no entry
+    assert embedding_type_from_local((1, 0, 0, 0), 1, 1) == embedding_type_from_local(CyclicClass((0, 0, 0, 1)), 1, 1)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        embedding_type_from_local((True, True), 1, 2)
+
+
 @given(data())
 def test_embedding_type_inverts_the_direct_route(datum):
     mu = coordinate_class(local_type_direct(datum))

@@ -84,6 +84,11 @@ def test_shards_match_the_filter_oracle():
             expected = valid_flattenings(f, r, m)
             for head in range(m + 1):
                 assert list(_shard(f, r, m, head)) == [v for v in expected if v[0] == head], (f, r, m, head)
+    # one row, wider than the gate: head and then the tail of the same row
+    for r, m in product(range(1, 9), range(1, 10)):
+        expected = valid_flattenings(1, r, m)
+        for head in range(m + 1):
+            assert list(_shard(1, r, m, head)) == [v for v in expected if v[0] == head], (r, m, head)
     # the wide shapes, where most weak compositions have an empty column
     for f, r, m in product(range(1, 3), range(1, 17), range(1, 10)):
         if f * r <= 16:
