@@ -12,14 +12,15 @@ local type of a point is the cyclic class of its barycentric gaps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .cyclic import CyclicClass, _ints, flatten
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 Exponents = tuple[int, ...]
-Rational = Fraction | int
 
 
 def normalize_exponents(c: Sequence[int]) -> Exponents:
@@ -122,6 +123,7 @@ class ApartmentPoint(NamedTuple):
     @property
     def alpha(self) -> tuple[Fraction, ...]:
         """The coordinates as Fractions, for readers at the API boundary."""
+        from fractions import Fraction
         return tuple(Fraction(n, self.den) for n in self.num)
 
 
@@ -136,18 +138,19 @@ def _point(d: int, num: Sequence[int], den: int) -> ApartmentPoint:
     return ApartmentPoint(d, tuple(n // g for n in num), den // g)
 
 
-def _over_common_denominator(values: Sequence[Rational], message: str) -> tuple[list[int], int]:
+def _over_common_denominator(values: Sequence[Fraction | int], message: str) -> tuple[list[int], int]:
     """Numerators of int or Fraction values over their least common denominator.
 
     Any other type, bool, float and str included, raises ValueError(message).
     """
+    from fractions import Fraction  # here, so that a program that reads no rational never loads it
     if any(type(v) not in (int, Fraction) for v in values):
         raise ValueError(message)
     den = lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def make_point(d: int, values: Sequence[Rational]) -> ApartmentPoint:
+def make_point(d: int, values: Sequence[Fraction | int]) -> ApartmentPoint:
     """Point with the given int or Fraction chart coordinates, normalized so alpha_m = 0."""
     _ints((d,), "d must be a positive integer", 1)
     if not values:
@@ -155,9 +158,17 @@ def make_point(d: int, values: Sequence[Rational]) -> ApartmentPoint:
     return _point(d, *_over_common_denominator(values, "coordinates must be ints or Fractions"))
 
 
-def lattice_at(x: ApartmentPoint, t: Rational) -> Exponents:
+def lattice_at(x: ApartmentPoint, t: Fraction | int) -> Exponents:
     """Exponent vector of the lattice the point selects at an int or Fraction t."""
     (p,), s = _over_common_denominator((t,), "the parameter t must be an int or a Fraction")
+    return _lattice_at(x, p, s)
+
+
+def _lattice_at(x: ApartmentPoint, p: int, s: int) -> Exponents:
+    """lattice_at at t = p / s, ints with s >= 1 and not necessarily in least terms; no checks.
+
+    Entry i is ceil(d * (p / s + num_i / den)), in integers over s * den.
+    """
     d, q = x.d, s * x.den
     return tuple(-(-d * (p * x.den + n * s) // q) for n in x.num)
 
@@ -171,7 +182,7 @@ def face_of(x: ApartmentPoint) -> ChainFace:
     """
     d, den = x.d, x.den
     thetas = sorted({-d * n % den for n in x.num})
-    return chain_face([lattice_at(x, Fraction(th, d * den)) for th in thetas])
+    return chain_face([_lattice_at(x, th, d * den) for th in thetas])
 
 
 def order_of_chain(ch: ChainFace) -> tuple[Exponents, ...]:
@@ -225,7 +236,7 @@ def invariant_of(ch: ChainFace) -> tuple[int, CyclicClass]:
     return ch.period, CyclicClass(tuple(counts))
 
 
-def square_lattice_exponents(x: ApartmentPoint, t: Rational) -> tuple[Exponents, ...]:
+def square_lattice_exponents(x: ApartmentPoint, t: Fraction | int) -> tuple[Exponents, ...]:
     """Exponent matrix of the square lattice the point selects at t.
 
     Entry (i, j) is ceil(d * (t + alpha_i - alpha_j)), the largest value
@@ -233,7 +244,12 @@ def square_lattice_exponents(x: ApartmentPoint, t: Rational) -> tuple[Exponents,
     column j is the lattice the point selects at t - alpha_j.
     """
     (p,), s = _over_common_denominator((t,), "the parameter t must be an int or a Fraction")
-    return tuple(zip(*(lattice_at(x, Fraction(p * x.den - n * s, s * x.den)) for n in x.num)))
+    return _square_lattice(x, p, s)
+
+
+def _square_lattice(x: ApartmentPoint, p: int, s: int) -> tuple[Exponents, ...]:
+    """square_lattice_exponents at t = p / s, ints with s >= 1; no checks."""
+    return tuple(zip(*(_lattice_at(x, p * x.den - n * s, s * x.den) for n in x.num)))
 
 
 def barycenter(ch: ChainFace, d: int) -> ApartmentPoint:
@@ -269,7 +285,7 @@ def _least_terms(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple(ints) if g == 1 else tuple([x // g for x in ints])
 
 
-def gap_class(values: Sequence[Rational]) -> CyclicClass:
+def gap_class(values: Sequence[Fraction | int]) -> CyclicClass:
     """Gap class of a rational vector, a function of fractional parts only.
 
     It is the local type of the values read as a point with d = 1, so
@@ -278,7 +294,7 @@ def gap_class(values: Sequence[Rational]) -> CyclicClass:
     return local_type(make_point(1, values))
 
 
-def coordinate_class(values: Sequence[Rational]) -> CyclicClass:
+def coordinate_class(values: Sequence[Fraction | int]) -> CyclicClass:
     """The cyclic class of an explicit coordinate vector, in least terms.
 
     For turning an ordered vector of barycentric coordinates (ints or

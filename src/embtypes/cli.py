@@ -8,17 +8,18 @@ crashes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
-from typing import NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
 
 from .apartment import coordinate_class
 from .correspondence import _checks, _report, embedding_type_from_local, report_to_json, verify_correspondence
 from .cyclic import _ints, canonical, classes_equal, complement, flatten, make_matrix, pairs_of
 from .embedding import _datum, datum_from_json, datum_to_json
 from .enumeration import _shard, count_data, enumerate_data
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Consecutive shards per pool message: batches cut the main process's round
 # trips to a quarter, and are still small enough to keep every worker busy.
@@ -97,11 +98,14 @@ def _failure(f, r, m, v, outcome) -> dict:
 
 
 def _temp_beside(path: str) -> tuple[int, str]:
-    """(fd, name) of a new file with a unique name in path's directory."""
+    """(fd, name) of a new file with a unique name in path's directory; an error names path."""
     import tempfile  # here, so that a run without a report never loads it
 
     directory, name = os.path.split(path)
-    return tempfile.mkstemp(suffix=".tmp", prefix=name + ".", dir=directory or ".")
+    try:
+        return tempfile.mkstemp(suffix=".tmp", prefix=name + ".", dir=directory or ".")
+    except OSError as exc:  # the temporary name is ours, so name the path the user gave
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO | None = None) -> int:
@@ -172,8 +176,10 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
             pool.shutdown(cancel_futures=True)  # run no shard that no worker has taken yet
     print(f"total data={total} fail={len(failures)}", file=out)
     if failures:
+        import json  # here and for the report, so that a passing sweep without one never loads it
         print(json.dumps(failures[0], sort_keys=True), file=out)
     if report_path is not None:
+        import json
         payload = {
             "range": {"f_max": rng.f_max, "r_max": rng.r_max, "m_max": rng.m_max, "fr_max": rng.fr_max},
             "configurations": configs,
@@ -196,15 +202,22 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     return 1 if failures else 0
 
 
-def _int_vector(text: str) -> tuple[int, ...]:
+def _json_array(text: str, message: str) -> list:
+    """The JSON array in text; any other JSON value raises ValueError(message)."""
+    import json
     data = json.loads(text)
-    message = "expected a JSON array of integers"
     if not isinstance(data, list):
         raise ValueError(message)
-    return _ints(data, message)
+    return data
+
+
+def _int_vector(text: str) -> tuple[int, ...]:
+    message = "expected a JSON array of integers"
+    return _ints(_json_array(text, message), message)
 
 
 def _rational(v) -> Fraction:
+    from fractions import Fraction
     message = "rationals are integers or [numerator, denominator] pairs with nonzero denominator"
     # an integer n reads as the pair [n, 1]
     pair = _ints(v if isinstance(v, list) else [v, 1], message)
@@ -258,6 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    import json
     if args.command == "canon":
         print(json.dumps(list(canonical(_int_vector(args.vector)))))
     elif args.command == "pairs":
@@ -273,7 +287,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         out.update(mu=report_to_json(report)["mu"], agree=classes_equal(*sides.values()))
         print(json.dumps(out, sort_keys=True))
     elif args.command == "embedding-type":
-        values = [_rational(v) for v in json.loads(args.mu)]
+        values = [_rational(v) for v in _json_array(args.mu, "expected a JSON array of rationals")]
         datum = embedding_type_from_local(coordinate_class(values), args.f, args.r)
         print(json.dumps(datum_to_json(datum), sort_keys=True))
     elif args.command == "enumerate":

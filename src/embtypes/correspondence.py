@@ -11,17 +11,17 @@ checks both against the complement identity on the flattening.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import sub
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .apartment import (
-    ApartmentPoint, _local_gaps, _translate, barycenter, square_lattice_exponents, standard_chain,
-)
+from .apartment import ApartmentPoint, _local_gaps, _square_lattice, _translate, barycenter, standard_chain
 from .cyclic import CyclicClass, Vec, _complement, _ints, _rotation_of, complement, flatten, reshape
 from .embedding import EmbeddingDatum, _skeleton, _vector, datum_to_json, make_datum
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @lru_cache(maxsize=None)
@@ -69,10 +69,9 @@ def intersection_property(x: ApartmentPoint, f: int) -> bool:
     y = to_centralizer(x, f)
     q = 2 * lcm(x.d, x.den)
     # one period of the image side: t in [0, f/d), i.e. k < q * f / d
-    for k in range(q * f // x.d):
-        t = Fraction(k, q)
-        big = flatten(square_lattice_exponents(x, t))
-        small = flatten(square_lattice_exponents(y, t))
+    for k in range(q * f // x.d):  # t = k / q
+        big = flatten(_square_lattice(x, k, q))
+        small = flatten(_square_lattice(y, k, q))
         if any(-(-e // f) != s for e, s in zip(big, small)):
             return False
     return True
@@ -80,6 +79,7 @@ def intersection_property(x: ApartmentPoint, f: int) -> bool:
 
 def local_type_direct(datum: EmbeddingDatum) -> tuple[Fraction, ...]:
     """Ordered local coordinates of the datum, by the counting formula."""
+    from fractions import Fraction
     nums, den = _local_type_direct(datum.f, datum.r, _vector(datum))
     return tuple(Fraction(n, den) for n in nums)
 
@@ -188,6 +188,7 @@ def _checks(f: int, r: int, v: Vec) -> tuple[tuple[Vec, int], Vec | None, Vec, s
 
 def _report(datum: EmbeddingDatum, coords, comp, gaps, site) -> CorrespondenceReport:
     """The report of the outcome of _checks, with Fraction coordinates and canonical classes."""
+    from fractions import Fraction
     nums, den = coords
     mu = tuple(Fraction(n, den) for n in nums)
     complement_class = None if comp is None else CyclicClass(comp)

@@ -191,7 +191,10 @@ def make_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
     Entries must be of type int exactly: bools, floats and strings are
     rejected rather than converted.
     """
-    tup = tuple(_ints(row, "entries must be non-negative integers", 0) for row in rows)
+    try:
+        tup = tuple(_ints(row, "entries must be non-negative integers", 0) for row in rows)
+    except TypeError:  # rows, or one of them, is not iterable
+        raise ValueError("matrix must be a sequence of rows") from None
     if not tup or not tup[0]:
         raise ValueError("matrix must be nonempty")
     if any(len(r) != len(tup[0]) for r in tup):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import fractions
 import hashlib
 import io
 import json
@@ -83,6 +84,15 @@ def test_embedding_type_rejects_incompatible_mu(capsys):
     assert err.startswith("error:") and "not a local type" in err
 
 
+# input that is not an array where one is expected, with the message it gets
+NOT_AN_ARRAY = {
+    ("flatten", "[1,2]"): "matrix must be a sequence of rows",
+    ("local-type", "--datum", '{"f": 1, "r": 1, "m": 5, "rows": 5}'): "matrix must be a sequence of rows",
+    ("local-type", "--datum", '{"f": 1, "r": 1, "m": 5, "rows": [5]}'): "matrix must be a sequence of rows",
+    ("embedding-type", "--mu", "5", "--f", "1", "--r", "1"): "expected a JSON array of rationals",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -100,12 +110,15 @@ def test_embedding_type_rejects_incompatible_mu(capsys):
         ("local-type", "--datum", '{"f": 1, "r": 1, "m": 2.7, "rows": [[2]]}'),
         ("embedding-type", "--mu", "[[1,0]]", "--f", "1", "--r", "1"),
         ("complement", "[]"),
+        *NOT_AN_ARRAY,
     ],
 )
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+    if argv in NOT_AN_ARRAY:
+        assert err == f"error: {NOT_AN_ARRAY[argv]}\n"
 
 
 @pytest.mark.parametrize(
@@ -160,12 +173,14 @@ def test_verify_report_file(tmp_path, capsys):
     ids=["missing-parent", "directory"],
 )
 def test_verify_report_to_unwritable_path_exits_2_before_the_sweep(tmp_path, capsys, where):
+    # the error names the path given, not the temporary file the probe tried
+    path = str(where(tmp_path))
     code, out, err = run_cli(
-        capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1",
-        "--report", str(where(tmp_path)),
+        capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1", "--report", path,
     )
     assert code == 2 and out == ""
     assert err.startswith("error:")
+    assert path in err and ".tmp" not in err
 
 
 def test_verify_report_to_an_empty_path_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch):
@@ -418,7 +433,7 @@ def test_a_passing_datum_builds_no_datum_and_no_fraction(monkeypatch):
     def refuse(*args):
         raise AssertionError("built for a passing datum")
 
-    monkeypatch.setattr(correspondence, "Fraction", refuse)
+    monkeypatch.setattr(fractions, "Fraction", refuse)  # the name every lazy import of Fraction reads
     monkeypatch.setattr(embedding, "EmbeddingDatum", refuse)
     monkeypatch.setattr(enumeration, "EmbeddingDatum", refuse)
     code, out = _sweep_lines(VerifyRange(2, 2, 4, 4))
@@ -732,19 +747,28 @@ def _modules_after(code):
     return set(proc.stderr.split())
 
 
+# what no command loads: the records are named tuples, only a pool imports
+# concurrent.futures and multiprocessing, and only a report tempfile
+UNUSED = {"concurrent.futures", "dataclasses", "inspect", "multiprocessing", "tempfile"}
+# fractions imports decimal and numbers, and only a Fraction needs them
+RATIONALS = {"fractions", "decimal", "numbers"}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1", "--jobs", "1"], ["canon", "[1,0]"]],
+    "argv, unused",
+    [
+        (["verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1", "--jobs", "1"],
+         UNUSED | RATIONALS | {"json"}),
+        (["canon", "[1,0]"], UNUSED | RATIONALS),
+    ],
     ids=["verify-one-datum", "canon"],
 )
-def test_a_command_loads_no_module_it_does_not_use(argv):
-    # every command runs in a fresh process that pays for its imports: the
-    # records are named tuples, only a pool imports concurrent.futures and
-    # multiprocessing, and only a report tempfile
+def test_a_command_loads_no_module_it_does_not_use(argv, unused):
+    # every command runs in a fresh process that pays for its imports; a
+    # passing sweep prints no JSON, and neither command builds a Fraction
     bare = _modules_after("")
     loaded = _modules_after(f"from embtypes.cli import main\nassert main({argv!r}) == 0")
     assert "embtypes.cli" in loaded
-    unused = {"concurrent.futures", "dataclasses", "inspect", "multiprocessing", "tempfile"}
     assert sorted((loaded - bare) & unused) == []
 
 
