@@ -122,7 +122,10 @@ def classes_equal(a: Sequence[int] | CyclicClass, b: Sequence[int] | CyclicClass
 
 
 def _pairs(v: Vec) -> tuple[list[int], list[int]]:
-    """Values and gaps of the pairs of a non-negative vector, from its first nonzero entry."""
+    """Values and gaps of the pairs of a non-negative vector, from its first nonzero entry.
+
+    Only pairs_of reads it; _complement makes its own pass over v.
+    """
     support = [i for i, e in enumerate(v) if e != 0]
     if not support:
         raise ValueError("zero vector has no pairs form")
@@ -131,7 +134,10 @@ def _pairs(v: Vec) -> tuple[list[int], list[int]]:
 
 
 def _unfold(values: Sequence[int], gaps: Sequence[int]) -> Vec:
-    """Vector with the given values and gaps, taken as valid, starting at the first value."""
+    """Vector with the given values and gaps, taken as valid, starting at the first value.
+
+    Only from_pairs reads it; _complement writes its vector itself.
+    """
     out = [0] * sum(gaps)
     pos = 0
     for a, b in zip(values, gaps):
@@ -179,10 +185,28 @@ def complement(entries: Sequence[int] | CyclicClass) -> CyclicClass:
 def _complement(v: Vec) -> Vec:
     """A vector of the complement class of v, taken as valid; no canonical form.
 
-    Gap k of v becomes a value, and value k + 1 the gap after it.
+    Gap k of v becomes a value, and value k + 1 the gap after it.  One
+    pass over v: from its first nonzero entry on, each nonzero entry
+    writes the gap from the one before it and moves the write position
+    on by its own value; the gap that wraps past the end comes last.
     """
-    values, gaps = _pairs(v)
-    return _unfold(gaps, values[1:] + values[:1])
+    total = sum(v)
+    if not total:
+        raise ValueError("zero vector has no pairs form")
+    out = [0] * total
+    entries = enumerate(v)
+    for first, e in entries:
+        if e:
+            break
+    last = first
+    pos = 0
+    for i, e in entries:
+        if e:
+            out[pos] = i - last
+            pos += e
+            last = i
+    out[pos] = first + len(v) - last
+    return tuple(out)
 
 
 def make_matrix(rows: Sequence[Sequence[int]]) -> Matrix:

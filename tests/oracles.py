@@ -120,6 +120,21 @@ def row_classes(s: int, t: int) -> set[tuple[int, ...]]:
     return {least_rotation(v) for v in weak_compositions(t, s)}
 
 
+def complement_of(v: Sequence[int]) -> tuple[int, ...]:
+    """A vector of the complement class of a nonzero vector v, from the definition.
+
+    v has one pair (a_j, b_j) per nonzero entry a_j, where b_j is the
+    distance to the next nonzero entry around the cycle.  The complement
+    has the pairs (b_j, a_{j+1}): each gap b_j, then a_{j+1} - 1 zeros.
+    """
+    n = len(v)
+    support = [i for i in range(n) if v[i] != 0]
+    out = []
+    for here, there in zip(support, support[1:] + support[:1]):
+        out += [(there - here) % n or n] + [0] * (v[there] - 1)
+    return tuple(out)
+
+
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve a square system over the rationals by Gaussian elimination."""
     n = len(rows)

@@ -53,6 +53,11 @@ def test_complement(capsys):
     assert json.loads(out) == [0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 3]
 
 
+def test_complement_of_the_zero_vector_exits_2(capsys):
+    code, out, err = run_cli(capsys, "complement", "[0]")
+    assert (code, out, err) == (2, "", "error: zero vector has no pairs form\n")
+
+
 def test_flatten(capsys):
     code, out, _ = run_cli(capsys, "flatten", "[[1,0],[1,3],[0,0],[0,1],[0,1],[0,0]]")
     assert code == 0

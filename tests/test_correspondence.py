@@ -28,7 +28,7 @@ from embtypes.apartment import (
     translate,
 )
 from embtypes.cyclic import CyclicClass, canonical, flatten, rotate
-from embtypes import cli
+from embtypes import cli, cyclic
 from embtypes.correspondence import (
     CorrespondenceReport,
     _barycenter,
@@ -406,6 +406,13 @@ def test_the_kernels_keep_the_routes_independent():
     direct, geometric = _names_reached(_class_kernel), _names_reached(_member_kernel)
     assert DIRECT_ROUTE <= direct and not direct & GEOMETRIC_ROUTE
     assert GEOMETRIC_ROUTE <= geometric and not geometric & DIRECT_ROUTE
+
+
+def test_the_complement_core_shares_no_code_with_the_pairs_form():
+    # so checking _complement against the swap of pairs_of compares two
+    # implementations, not one with itself
+    reached = _names_reached(cyclic._complement)
+    assert not reached & {"_pairs", "_unfold"}
 
 
 def test_the_shard_loop_validates_nothing():

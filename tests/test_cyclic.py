@@ -13,6 +13,7 @@ from embtypes.cyclic import (
     CyclicClass,
     _complement,
     _least_rotation,
+    _rotation_of,
     canonical,
     classes_equal,
     complement,
@@ -23,7 +24,7 @@ from embtypes.cyclic import (
     reshape,
     rotate,
 )
-from oracles import all_rotations, least_rotation, reshape_by_scan, row_classes, weak_compositions
+from oracles import all_rotations, complement_of, least_rotation, reshape_by_scan, row_classes, weak_compositions
 
 vectors = st.lists(st.integers(0, 5), min_size=1, max_size=9)
 
@@ -210,10 +211,32 @@ def test_the_complement_core_returns_a_vector_of_the_complement_class(v):
     assume(any(v))
     raw = _complement(tuple(v))
     assert CyclicClass(raw) == complement(v)
-    # complement is written on the core, so check the core against the swap of the pairs too
+    # complement is written on the core, which shares no code with the pairs
+    # form, so check the core against the swap of the pairs too
     p = pairs_of(v)
     swapped = [(p[j][1], p[(j + 1) % len(p)][0]) for j in range(len(p))]
     assert least_rotation(raw) == from_pairs(swapped).vector
+
+
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=16))
+@example([0, 0, 7])
+@example([256, 0, 300, 1])
+def test_the_complement_core_is_a_rotation_of_the_oracle_complement(v):
+    assume(any(v))
+    raw = _complement(tuple(v))
+    assert _rotation_of(raw, complement_of(v))
+    # the oracle's complement of the core gives back v, whose entries above
+    # 255 take the per-rotation path of _rotation_of
+    assert _rotation_of(complement_of(raw), tuple(v))
+
+
+def test_the_complement_core_rejects_the_zero_vector():
+    # the message embtypes complement '[0]' prints
+    for v in ((0,), (0, 0, 0)):
+        with pytest.raises(ValueError, match="^zero vector has no pairs form$"):
+            _complement(v)
+    with pytest.raises(ValueError, match="^zero vector has no pairs form$"):
+        complement((0, 0))
 
 
 def test_complement_swaps_length_and_sum():
