@@ -1,16 +1,18 @@
 """Alternating parent/change pairs of the benchmark, written as one BENCH file.
 
-    python3 tools/bench_pairs.py --parent HEAD --pairs 10 --out BENCH_25.json \\
+    python3 tools/bench_pairs.py --parent HEAD --out BENCH_25.json \\
         --note "what the change does" --claim gate:data_per_ref_s
 
 Run from the root of a checkout.  It exports the parent revision with
 `git archive` and copies the working tree (uncommitted edits included),
 both into a temporary directory, then runs
 `perfbench/run.py --workload <w> --seed <s> --seconds <n> --trace 0` in
-each, pair by pair: parent and change alternate which runs first, and
-each pair runs every workload in turn under the same seed.  Before the
-pairs it hashes the stdout of `embtypes verify` on the fr<=8 slice and
-the whole gate at --jobs 1 and 2 on both sides.  The file holds, per
+each for 10 pairs, seeds 101 to 110, with `run_seconds` of
+BENCHMARK.json and every workload of `perfbench/workloads.py`: parent
+and change alternate which runs first, and each pair runs every workload
+in turn under the same seed.  Before the pairs it hashes the stdout of
+`embtypes verify` on the whole gate at --jobs 1 and 2 on both sides;
+each benchmark run checks its own slice's stdout.  The file holds, per
 workload and side, the medians and quartiles of every end-to-end metric
 of BENCHMARK.json, the pairs the change wins, the host factors, the raw
 sweep and reference wall times before the host factor, and least-squares
@@ -20,6 +22,7 @@ fits of sweep wall time against reference wall time.  Uses the stdlib only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -32,12 +35,12 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
 ROOT = Path.cwd()
-WORKLOADS = ("gate", "gate-pool")
-RANGES = {
-    "fr<=8 slice": ["--f-max", "6", "--r-max", "4", "--m-max", "7", "--fr-max", "8"],
-    "whole gate range": ["--f-max", "6", "--r-max", "4", "--m-max", "7", "--fr-max", "12"],
-}
+PAIRS = 10
+FIRST_SEED = 101
 COPY_IGNORE = shutil.ignore_patterns(".git", ".bench_out", "__pycache__", ".hypothesis", ".pytest_cache")
 
 
@@ -52,17 +55,15 @@ def export(rev: str, dest: Path) -> None:
 
 
 def verify_stdout(side: Path) -> dict:
-    """SHA-256 of `embtypes verify` stdout per range and --jobs; an exit other than 0 is recorded."""
+    """SHA-256 of `embtypes verify` stdout on the whole gate per --jobs; an exit other than 0 is recorded."""
     out = {}
     env = {**os.environ, "PYTHONPATH": "src"}
-    for name, argv in RANGES.items():
-        for jobs in (1, 2):
-            p = subprocess.run(
-                [sys.executable, "-m", "embtypes", "verify", *argv, "--jobs", str(jobs)],
-                cwd=side, env=env, capture_output=True,
-            )
-            digest = hashlib.sha256(p.stdout).hexdigest()
-            out[f"{name}, jobs {jobs}"] = digest if p.returncode == 0 else f"exit {p.returncode}: {digest}"
+    for jobs in (1, 2):
+        # the whole tier-1 gate range: the workloads' slice up to f*r <= 12
+        gate = dataclasses.replace(WORKLOADS["gate"].sweep, fr_max=12, jobs=jobs)
+        p = subprocess.run([sys.executable, "-m", "embtypes", *gate.argv()], cwd=side, env=env, capture_output=True)
+        digest = hashlib.sha256(p.stdout).hexdigest()
+        out[f"whole gate range, jobs {jobs}"] = digest if p.returncode == 0 else f"exit {p.returncode}: {digest}"
     return out
 
 
@@ -185,15 +186,15 @@ def claim(spec: str, workloads: dict, better: dict[str, str]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare the working tree with")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=60.0)
-    parser.add_argument("--first-seed", type=int, default=101)
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--note", default="", help="what the change does, one line")
     parser.add_argument("--claim", help="workload:metric the change claims a gain on")
     args = parser.parse_args(argv)
 
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
+    names = sorted(WORKLOADS)
     parent_rev = git("rev-parse", args.parent)
     head_rev = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain"))
@@ -202,23 +203,23 @@ def main(argv: list[str] | None = None) -> int:
         export(parent_rev, sides["parent"])
         shutil.copytree(ROOT, sides["change"], ignore=COPY_IGNORE)
         stdout = {s: verify_stdout(path) for s, path in sides.items()}
-        runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
-        seeds = [args.first_seed + k for k in range(args.pairs)]
-        order = ["parent" if k % 2 == 0 else "change" for k in range(args.pairs)]
+        runs = {w: {"parent": [], "change": []} for w in names}
+        seeds = [FIRST_SEED + k for k in range(PAIRS)]
+        order = ["parent" if k % 2 == 0 else "change" for k in range(PAIRS)]
         for seed, first in zip(seeds, order):
-            for w in WORKLOADS:
+            for w in names:
                 for s in (first, "change" if first == "parent" else "parent"):
-                    runs[w][s].append(bench(sides[s], w, seed, args.seconds))
+                    runs[w][s].append(bench(sides[s], w, seed, seconds))
                     print(f"seed {seed} {w} {s}: {runs[w][s][-1]['result']['metrics']}", file=sys.stderr, flush=True)
 
-    machine = runs[WORKLOADS[0]]["parent"][0]["machine"]
+    machine = runs[names[0]]["parent"][0]["machine"]
     workloads = {w: summarize(rs, order, seeds, better) for w, rs in runs.items()}
     doc = {
         "change": args.note,
-        "harness": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} --trace 0, "
+        "harness": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds:g} --trace 0, "
         "run by tools/bench_pairs.py from a git archive of the parent and a copy of the working tree, both in a "
         "temporary directory; parent and change alternate which runs first in each pair, and each pair runs "
-        + " then ".join(WORKLOADS)
+        + " then ".join(names)
         + "; medians and quartiles (inclusive method) over the pairs",
         "machine": {
             "cpu_model": machine["cpu_model"],
@@ -229,11 +230,11 @@ def main(argv: list[str] | None = None) -> int:
         "environment": {k: os.environ[k] for k in ("PYTHONDONTWRITEBYTECODE", "PYTHONHASHSEED") if k in os.environ},
         "parent": {
             "git_revision": parent_rev,
-            "source_sha256": runs[WORKLOADS[0]]["parent"][0]["machine"]["source_sha256"],
+            "source_sha256": runs[names[0]]["parent"][0]["machine"]["source_sha256"],
         },
         "change_side": {
             "git_revision": head_rev + (" with uncommitted changes" if dirty else ""),
-            "source_sha256": runs[WORKLOADS[0]]["change"][0]["machine"]["source_sha256"],
+            "source_sha256": runs[names[0]]["change"][0]["machine"]["source_sha256"],
         },
         "stdout": {**stdout, "identical": stdout["parent"] == stdout["change"]},
         "claim": claim(args.claim, workloads, better) if args.claim else None,
