@@ -111,9 +111,8 @@ class ApartmentPoint(NamedTuple):
     """A point of the apartment in chart coordinates: alpha_i = num_i / den.
 
     d is the valuation denominator and m is len(num).  num[-1] == 0,
-    den >= 1 and gcd(den, *num) == 1, so equal points compare equal.
-    local_type relies on num[-1] == 0: _point ensures it, and a point
-    built by hand must keep it.
+    den >= 1 and gcd(den, *num) == 1, so equal points compare equal;
+    _point ensures it, and a point built by hand must keep it.
     """
 
     d: int
@@ -259,17 +258,10 @@ def barycenter(ch: ChainFace, d: int) -> ApartmentPoint:
 
 
 def translate(x: ApartmentPoint, shift: Sequence[int]) -> ApartmentPoint:
-    """Translate by an integer exponent vector: alpha_i += shift_i / d.
-
-    Every entry of the shift must be of type int.
-    """
+    """Translate by an exponent vector of ints: alpha_i += shift_i / d."""
     if len(shift) != len(x.num):
         raise ValueError("shift length must match the point")
-    return _translate(x, _ints(shift, "shift entries must be integers"))
-
-
-def _translate(x: ApartmentPoint, shift: Sequence[int]) -> ApartmentPoint:
-    """translate by shift, ints of the point's length; no checks."""
+    shift = _ints(shift, "shift entries must be integers")
     den = lcm(x.den, x.d)
     up, step = den // x.den, den // x.d
     return _point(x.d, [n * up + s * step for n, s in zip(x.num, shift)], den)
@@ -313,17 +305,17 @@ def local_type(x: ApartmentPoint) -> CyclicClass:
     Sort the fractional parts of d * alpha decreasingly; the gaps
     between consecutive ones, led by the wrap gap 1 - largest +
     smallest, form the local coordinate vector.  The smallest part is
-    0, because num[-1] == 0, so the wrap gap is 1 - largest.  The
-    class is in least terms, so its total is the denominator.
+    0 for a point, but _local_gaps keeps it: the geometric route hands
+    it numerators not shifted to alpha_m = 0.  The class is in least
+    terms, so its total is the denominator.
     """
-    return CyclicClass(_local_gaps(x))
+    return CyclicClass(_local_gaps(x.d, x.num, x.den))
 
 
-def _local_gaps(x: ApartmentPoint) -> tuple[int, ...]:
-    """The gaps of local_type in least terms, wrap gap first; no canonical form."""
-    d, den = x.d, x.den
-    b = sorted([d * n % den for n in x.num], reverse=True)
-    gaps = [den - b[0]]
+def _local_gaps(d: int, num: Sequence[int], den: int) -> tuple[int, ...]:
+    """The gaps of d * num / den in least terms, wrap gap first; num may be unshifted and unreduced."""
+    b = sorted([d * n % den for n in num], reverse=True)
+    gaps = [den - b[0] + b[-1]]
     gaps += [p - q for p, q in zip(b, b[1:])]
     return _least_terms(gaps)
 

@@ -202,10 +202,18 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     return 1 if failures else 0
 
 
+def _json(text: str):
+    """The JSON value in text; nesting too deep for the decoder is malformed input, a ValueError."""
+    import json
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _json_array(text: str, message: str) -> list:
     """The JSON array in text; any other JSON value raises ValueError(message)."""
-    import json
-    data = json.loads(text)
+    data = _json(text)
     if not isinstance(data, list):
         raise ValueError(message)
     return data
@@ -279,9 +287,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "complement":
         print(json.dumps(list(complement(_int_vector(args.vector)))))
     elif args.command == "flatten":
-        print(json.dumps(list(flatten(make_matrix(json.loads(args.matrix))))))
+        print(json.dumps(list(flatten(make_matrix(_json(args.matrix))))))
     elif args.command == "local-type":
-        report = verify_correspondence(datum_from_json(json.loads(args.datum)))
+        report = verify_correspondence(datum_from_json(_json(args.datum)))
         sides = {"direct": coordinate_class(report.coordinates), "geometric": report.geometric}
         out = {name: {"class": list(c), "denominator": c.total} for name, c in sides.items()}
         out.update(mu=report_to_json(report)["mu"], agree=classes_equal(*sides.values()))

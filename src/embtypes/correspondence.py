@@ -16,7 +16,7 @@ from math import gcd, lcm
 from operator import sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .apartment import ApartmentPoint, _local_gaps, _square_lattice, _translate, barycenter, standard_chain
+from .apartment import ApartmentPoint, _local_gaps, _square_lattice, barycenter, standard_chain
 from .cyclic import CyclicClass, Vec, _complement, _ints, _rotation_of, complement, flatten, reshape
 from .embedding import EmbeddingDatum, _skeleton, _vector, datum_to_json, make_datum
 
@@ -25,14 +25,17 @@ if TYPE_CHECKING:
 
 
 @lru_cache(maxsize=None)
-def _barycenter(partition: tuple[int, ...], d: int) -> ApartmentPoint:
-    """Barycenter of the standard chain of the partition in denominator d.
+def _lifted_barycenter(partition: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int, int]:
+    """(num, step, den): the standard chain's barycenter in denominator d, lifted for translation.
 
-    The geometric route meets few keys (266 on the fr<=8 slice, 413 over
-    the whole gate range), so it builds each chain and barycenter once;
+    num are its numerators over den = lcm(its denominator, d), and step
+    = den / d lifts one unit of a translation.  The geometric route
+    meets few keys (266 on the fr<=8 slice, 413 over the gate range);
     the direct route does not read this cache.
     """
-    return barycenter(standard_chain(partition), d)
+    x = barycenter(standard_chain(partition), d)
+    den = lcm(x.den, d)
+    return tuple([n * (den // x.den) for n in x.num]), den // d, den
 
 
 def to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
@@ -42,11 +45,6 @@ def to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
     so in the affine chart this divides by f.
     """
     _ints((f,), "f must be a positive integer", 1)
-    return _to_centralizer(x, f)
-
-
-def _to_centralizer(x: ApartmentPoint, f: int) -> ApartmentPoint:
-    """to_centralizer for a positive int f; raises only when f does not divide d."""
     if x.d % f:
         raise ValueError("not applicable: E must be unramified of degree dividing d")
     return ApartmentPoint(x.d // f, x.num, x.den)
@@ -105,12 +103,13 @@ def _local_type_geometric(f: int, r: int, v: Vec) -> Vec:
     """The gaps of local_type_geometric of the flat datum v in least terms; no canonical form.
 
     Barycenter of the standard chain of the column sums in denominator
-    f * r (shared per key), moved to the diagonal frame by the skeleton
-    levels, then read in the centralizer apartment.
+    f * r (lifted once per key), moved to the diagonal frame by the
+    skeleton levels, then read in the centralizer apartment, with
+    denominator f * r / f = r: one integer pass that builds no point.
     """
     partition, levels = _skeleton(r, v)
-    moved = _translate(_barycenter(partition, f * r), [-l for l in levels])
-    return _local_gaps(_to_centralizer(moved, f))
+    num, step, den = _lifted_barycenter(partition, f * r)
+    return _local_gaps(r, [n - l * step for n, l in zip(num, levels)], den)
 
 
 def embedding_type_from_local(mu: Sequence[int] | CyclicClass, f: int, r: int) -> EmbeddingDatum:

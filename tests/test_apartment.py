@@ -382,9 +382,27 @@ def test_local_type_matches_chamber_coordinates(x):
 
 @given(points())
 def test_the_local_type_core_returns_a_vector_of_the_local_type(x):
-    gaps = _local_gaps(x)
+    gaps = _local_gaps(x.d, x.num, x.den)
     assert CyclicClass(gaps) == local_type(x)
     assert class_of_fractions(chamber_coordinates(x)) == (least_rotation(gaps), sum(gaps))
+
+
+@given(points(), st.integers(1, 50), st.integers(2, 4))
+def test_the_gap_reader_takes_numerators_neither_shifted_nor_reduced(x, c, k):
+    # the geometric route lifts its numerators and never shifts them to
+    # alpha_m = 0, so adding c / den to every coordinate, or writing them
+    # over k * den, must leave the class alone
+    lifted = [k * (n + c) for n in x.num]
+    assert CyclicClass(_local_gaps(x.d, lifted, k * x.den)) == local_type(x)
+
+
+def test_the_wrap_gap_keeps_the_smallest_value():
+    # (3/4, 1/4) is the point (1/2, 0): class (1, 1); a wrap gap of
+    # den - largest alone would read the unshifted numerators as (1, 2)
+    num, den = (3, 1), 4
+    assert local_type(make_point(1, [Fraction(3, 4), Fraction(1, 4)])) == CyclicClass((1, 1))
+    assert CyclicClass(_local_gaps(1, num, den)) == CyclicClass((1, 1))
+    assert CyclicClass((den - max(num), max(num) - min(num))) == CyclicClass((1, 2))
 
 
 @given(chains(), st.integers(1, 6))

@@ -127,6 +127,17 @@ def test_malformed_input_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("canon", "[" * 100000), ("flatten", "[" * 100000), ("local-type", "--datum", '{"rows": ' + "[" * 100000)],
+    ids=["canon", "flatten", "local-type"],
+)
+def test_json_nested_too_deeply_exits_2(capsys, argv):
+    # the decoder runs out of recursion depth: malformed input, not a crash
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize(
     "datum, message",
     [
         ("[1]", "a datum must be a JSON object with the keys f, r, m and rows"),
@@ -504,67 +515,86 @@ def _extra_unit(original):
 
 
 # Each mutant replaces a function the verifier's checks call in correspondence.
+def _off_step(original):
+    # a lifted barycenter whose step is one too long, so a unit above level 0
+    # is moved too far; a datum with every level 0, or one unit, still passes
+    def lifted(partition, d):
+        num, step, den = original(partition, d)
+        return num, step + 1, den
+
+    return lifted
+
+
+# (core, mutant, site, fail): the mutant of the core makes the sweep over
+# f, r, m <= 2, f * r <= 2 fail every datum at the site, or, where fail is a
+# number, the sweep over the fr<=8 slice fail that many of its data
 MISMATCH_SITES = [
-    ("_local_type_direct", _off_direct, "integrality"),
-    ("_local_type_direct", _extra_unit, "complement-identity"),
-    ("_complement", _off_complement, "complement-identity"),
-    ("_local_type_geometric", _off_geometric, "pipeline-agreement"),
-    ("_local_type_geometric", _raising, "exception"),
+    ("_local_type_direct", _off_direct, "integrality", None),
+    ("_local_type_direct", _extra_unit, "complement-identity", None),
+    ("_complement", _off_complement, "complement-identity", None),
+    ("_local_type_geometric", _off_geometric, "pipeline-agreement", None),
+    ("_local_type_geometric", _raising, "exception", None),
+    ("_lifted_barycenter", _off_step, "pipeline-agreement", 12067),
 ]
 
 
-def _site_id(name, mutate, site):
-    # a private core `_x` returns the raw vector of the public `x`, so an id
-    # names the route by its public name
+def _site_id(name, mutate, site, *_):
+    # a private core `_x` is named without its underscore
     return f"{name.lstrip('_')}-{mutate.__name__}-{site}"
 
 
 # At jobs 2 the failures come back from forked pool workers, which inherit
 # the monkeypatched route; only those cases carry the job count in their id.
 @pytest.mark.parametrize(
-    "name, mutate, site, jobs",
+    "name, mutate, site, fail, jobs",
     [
-        pytest.param(name, mutate, site, jobs, id=_site_id(name, mutate, site) + suffix)
+        pytest.param(*case, jobs, id=_site_id(*case) + suffix)
         for jobs, suffix in (("1", ""), ("2", "-jobs2"))
-        for name, mutate, site in MISMATCH_SITES
+        for case in MISMATCH_SITES
     ],
 )
-def test_verifier_reports_each_mismatch_site(tmp_path, capsys, monkeypatch, name, mutate, site, jobs):
+def test_verifier_reports_each_mismatch_site(tmp_path, capsys, monkeypatch, name, mutate, site, fail, jobs):
     monkeypatch.setattr(correspondence, name, mutate(getattr(correspondence, name)))
+    rng = VerifyRange(2, 1, 2, 2) if fail is None else VerifyRange(6, 4, 7, 8)
     path = tmp_path / "sweep.json"
-    code, out, _ = run_cli(
-        capsys, "verify", "--f-max", "2", "--r-max", "1", "--m-max", "2", "--fr-max", "2",
-        "--jobs", jobs, "--report", str(path),
-    )
+    bounds = ("--f-max", rng.f_max, "--r-max", rng.r_max, "--m-max", rng.m_max, "--fr-max", rng.fr_max)
+    code, out, _ = run_cli(capsys, "verify", *map(str, bounds), "--jobs", jobs, "--report", str(path))
     assert code == 1
-    # every datum fails, at the mutated site
-    total = sum(count_data(f, r, m) for f, r, m in VerifyRange(2, 1, 2, 2).configurations())
+    # every datum, or the given number of them, fails at the mutated site
+    total = sum(count_data(f, r, m) for f, r, m in rng.configurations())
+    fail = total if fail is None else fail
     lines = out.splitlines()
-    assert lines[-2] == f"total data={total} fail={total}"
+    assert lines[-2] == f"total data={total} fail={fail}"
     first = json.loads(lines[-1])
     assert first["verdict"] == "fail" and first["mismatch"] == site
-    assert first["datum"] == {"f": 1, "r": 1, "m": 1, "rows": [[1]]}
+    if fail == total:
+        assert first["datum"] == {"f": 1, "r": 1, "m": 1, "rows": [[1]]}
     if site == "exception":
         assert first["error"] == "RuntimeError: no route for m=1"
     payload = json.loads(path.read_text())
     assert payload["verdict"] == "fail" and payload["total"] == total
-    assert [failure["mismatch"] for failure in payload["failures"]] == [site] * total
+    assert payload["failures"][0] == {**first["datum"], "mismatch": site}
+    assert [failure["mismatch"] for failure in payload["failures"]] == [site] * fail
     assert all(set(failure) == {"f", "r", "m", "rows", "mismatch"} for failure in payload["failures"])
 
 
 @pytest.mark.parametrize(
-    "name, mutate, site",
+    "name, mutate, site, fail",
     [pytest.param(*case, id=_site_id(*case)) for case in MISMATCH_SITES],
 )
-def test_a_failure_is_reported_as_verify_correspondence_reports_it(monkeypatch, name, mutate, site):
+def test_a_failure_is_reported_as_verify_correspondence_reports_it(monkeypatch, name, mutate, site, fail):
     monkeypatch.setattr(correspondence, name, mutate(getattr(correspondence, name)))
     tasks = [(f, r, m, head) for f, r, m in VerifyRange(2, 2, 3, 4).configurations() for head in range(m + 1)]
     for task in tasks:
         f, r, m, _ = task
         count, failures = cli._verify_shard(task)
         data = [embedding._datum(f, r, m, v) for v in enumeration._shard(*task)]
-        assert count == len(failures) == len(data)
-        for failure, datum in zip(failures, data):
+        assert count == len(data)
+        if fail is None:
+            assert len(failures) == count
+        else:  # the failures are the data the report fails, in their order
+            data = [datum for datum in data if not correspondence.verify_correspondence(datum).verdict]
+        for failure, datum in zip(failures, data, strict=True):
             assert failure["mismatch"] == site
             if site == "exception":
                 with pytest.raises(RuntimeError) as raised:

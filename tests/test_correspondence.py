@@ -18,7 +18,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from embtypes.apartment import (
-    _translate,
     barycenter,
     coordinate_class,
     local_type,
@@ -31,12 +30,12 @@ from embtypes.cyclic import CyclicClass, canonical, flatten, rotate
 from embtypes import cli, cyclic
 from embtypes.correspondence import (
     CorrespondenceReport,
-    _barycenter,
     _checks,
     _class_kernel,
+    _lifted_barycenter,
     _local_type_direct,
+    _local_type_geometric,
     _member_kernel,
-    _to_centralizer,
     embedding_type_from_local,
     from_centralizer,
     intersection_property,
@@ -109,22 +108,36 @@ def test_centralizer_round_trips(pair):
     assert to_centralizer(from_centralizer(x, f), f) == x
 
 
-@given(points_with_degree(), st.data())
-def test_the_geometric_cores_match_the_checked_maps(pair, data):
-    x, f = pair
-    shift = data.draw(st.lists(st.integers(-30, 30), min_size=len(x.num), max_size=len(x.num)))
-    assert _translate(x, shift) == translate(x, shift)
-    assert _to_centralizer(x, f) == to_centralizer(x, f)
+@st.composite
+def flat_data(draw, max_f=6, max_r=4):
+    # a random valid flat vector: every column that came out empty gets a unit
+    f = draw(st.integers(1, max_f))
+    r = draw(st.integers(1, max_r))
+    v = draw(st.lists(st.integers(0, 3), min_size=f * r, max_size=f * r))
+    for j in range(r):
+        if not any(v[j::r]):
+            v[draw(st.integers(0, f - 1)) * r + j] = draw(st.integers(1, 3))
+    return f, r, tuple(v)
+
+
+@given(flat_data())
+def test_the_lifted_core_matches_the_checked_maps(fv):
+    # the sweep's one-pass core against the public pipeline it stands for:
+    # translate and to_centralizer build a point at each stage, and the
+    # skeleton here is the oracle's
+    f, r, v = fv
+    partition, levels = skeleton_of([v[i : i + r] for i in range(0, f * r, r)])
+    moved = translate(barycenter(standard_chain(partition), f * r), [-l for l in levels])
+    assert CyclicClass(_local_type_geometric(f, r, v)) == local_type(to_centralizer(moved, f))
 
 
 @given(points_with_degree(), st.integers(1, 30))
-def test_the_centralizer_core_refuses_a_degree_not_dividing_d(pair, f):
-    # the core skips only the type check of f: a point outside the
-    # centralizer's apartment is a geometric condition, still raised
+def test_to_centralizer_refuses_a_degree_not_dividing_d(pair, f):
+    # a point outside the centralizer's apartment is a geometric condition
     x, _ = pair
     assume(x.d % f)
     with pytest.raises(ValueError, match="not applicable"):
-        _to_centralizer(x, f)
+        to_centralizer(x, f)
 
 
 def _worked_moved():
@@ -386,7 +399,7 @@ def _names_reached(fn, skip=()) -> set[str]:
 CANONICAL = {"CyclicClass", "canonical", "_least_rotation", "CorrespondenceReport"}
 FLAT = {"Fraction", "_unit_fractions", "EmbeddingDatum"}
 DIRECT_ROUTE = {"_local_type_direct", "_complement"}
-GEOMETRIC_ROUTE = {"_local_type_geometric", "_skeleton", "_barycenter", "_translate", "_to_centralizer", "_local_gaps"}
+GEOMETRIC_ROUTE = {"_local_type_geometric", "_skeleton", "_lifted_barycenter", "_local_gaps"}
 VALIDATION = {"_ints", "_over_common_denominator"}
 
 
@@ -417,8 +430,8 @@ def test_the_complement_core_shares_no_code_with_the_pairs_form():
 
 def test_the_shard_loop_validates_nothing():
     # the loop builds every vector, level and degree a datum's checks read,
-    # so the per-datum path re-checks none of them; the cached _barycenter
-    # checks its chain and d on a cache miss only, once per key
-    reached = _names_reached(cli._verify_shard, skip={cli._failure, _barycenter})
-    assert {"_failure", "_barycenter", "_translate", "_to_centralizer"} <= reached
+    # so the per-datum path re-checks none of them; the cached
+    # _lifted_barycenter checks its chain and d on a cache miss only, once per key
+    reached = _names_reached(cli._verify_shard, skip={cli._failure, _lifted_barycenter})
+    assert {"_failure"} | GEOMETRIC_ROUTE <= reached
     assert not reached & VALIDATION
