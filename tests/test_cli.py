@@ -514,10 +514,10 @@ def _extra_unit(original):
     return direct
 
 
-# Each mutant replaces a function the verifier's checks call in correspondence.
 def _off_step(original):
     # a lifted barycenter whose step is one too long, so a unit above level 0
-    # is moved too far; a datum with every level 0, or one unit, still passes
+    # is moved too far; 773 of the 12840 data of the fr<=8 slice still pass,
+    # 266 of them with every level 0
     def lifted(partition, d):
         num, step, den = original(partition, d)
         return num, step + 1, den
@@ -525,6 +525,7 @@ def _off_step(original):
     return lifted
 
 
+# Each mutant replaces a function the verifier's checks call in correspondence.
 # (core, mutant, site, fail): the mutant of the core makes the sweep over
 # f, r, m <= 2, f * r <= 2 fail every datum at the site, or, where fail is a
 # number, the sweep over the fr<=8 slice fail that many of its data
