@@ -13,10 +13,18 @@ import sys
 from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
 
 from .apartment import coordinate_class
-from .correspondence import _checks, _report, embedding_type_from_local, report_to_json, verify_correspondence
+from .correspondence import (
+    _checks,
+    _class_kernel,
+    _member_kernel,
+    _report,
+    embedding_type_from_local,
+    report_to_json,
+    verify_correspondence,
+)
 from .cyclic import _ints, canonical, classes_equal, complement, flatten, make_matrix, pairs_of
 from .embedding import _datum, datum_from_json, datum_to_json
-from .enumeration import _shard, count_data, enumerate_data
+from .enumeration import _class_count, _necklaces, count_data, enumerate_data
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -58,34 +66,69 @@ class VerifyRange(_Bounds):
 
 
 def _verify_shard(task):
-    """Verify the shard (f, r, m, head) of M(f, r; m), enumerated here.
+    """Verify the class shard (f, r, m, z) of M(f, r; m), enumerated here.
 
-    Returns the number of data and their failures in enumeration order,
-    so a pool worker receives four integers and sends back no datum
-    that passed.  The checks run on flat vectors; only a failure is built.
-    Raises RuntimeError when a vector does not start with head, is not
-    above the one before it, or does not sum to m, so the data checked
-    are distinct members of the shard; run_verify compares their number
-    with count_data.
+    The shard is the necklaces of _necklaces(f, r, m, z).  The direct
+    side, a class property, runs once per necklace v through
+    _class_kernel, and the geometric side, which reads the matrix shape,
+    on each of its p rotations through _member_kernel.  Returns the
+    numbers of classes and data and the failing members' failures, so a
+    pool worker receives four integers and sends back no datum that
+    passed.  A failing member is reported from its own _checks; one that
+    passes them shows a direct side that is not a class function, and
+    raises RuntimeError.  So does a vector that does not start with
+    exactly z zeros, is not above the one before it, does not sum to m,
+    has a zero column or does not repeat with period p, or a rotation
+    by 0 < k < p that is not above v: the classes checked are then
+    distinct necklaces, each with its least period, and run_verify
+    compares their numbers with _class_count and count_data.
     """
-    f, r, m, head = task
-    count = 0
+    f, r, m, z = task
+    classes = count = 0
     failures = []
     last = ()
-    for count, v in enumerate(_shard(*task), 1):
-        if v[0] != head or v <= last:
-            message = f"shard {head} yields {v} after {last}, not a new datum with first entry {head}"
-            raise RuntimeError(f"f={f} r={r} m={m}: {message}")
-        if sum(v) != m:
-            raise RuntimeError(f"f={f} r={r} m={m}: shard {head} yields {v}, with {sum(v)} units, not {m}")
+    for v, p in _necklaces(*task):
+        message = None
+        if any(v[:z]) or not v[z]:
+            message = f"yields {v}, whose first nonzero entry is not at index {z}"
+        elif v <= last:
+            message = f"yields {v} after {last}, not a new necklace"
+        elif sum(v) != m:
+            message = f"yields {v}, with {sum(v)} units, not {m}"
+        elif not all(any(v[j::r]) for j in range(r)):
+            message = f"yields {v}, which has a zero column"
+        elif v[p:] + v[:p] != v:
+            message = f"yields {v} with period {p}, which it does not have"
+        if message:
+            raise RuntimeError(f"f={f} r={r} m={m}: shard {z} {message}")
         last = v
+        classes += 1
+        count += p
         try:
-            outcome = _checks(f, r, v)
-        except Exception as exc:
-            outcome = exc
-        if isinstance(outcome, Exception) or outcome[-1] is not None:
-            failures.append(_failure(f, r, m, v, outcome))
-    return count, failures
+            direct, site = _class_kernel(f, r, v)[2:]
+        except Exception:
+            direct, site = None, "exception"
+        for k in range(p):
+            u = v[k:] + v[:k]
+            if k and u <= v:
+                message = f"yields {v} with period {p}, whose rotation by {k} is {u}, not above it"
+                raise RuntimeError(f"f={f} r={r} m={m}: shard {z} {message}")
+            if site is None:
+                try:
+                    agreement = _member_kernel(f, r, u, direct)[1]
+                except Exception:
+                    agreement = "exception"
+                if agreement is None:
+                    continue
+            try:
+                outcome = _checks(f, r, u)
+            except Exception as exc:
+                outcome = exc
+            if not isinstance(outcome, Exception) and outcome[-1] is None:
+                message = f"{u} passes its own checks but fails with its class {v}"
+                raise RuntimeError(f"f={f} r={r} m={m}: {message}: the direct side is not a class function")
+            failures.append(_failure(f, r, m, u, outcome))
+    return classes, count, failures
 
 
 def _failure(f, r, m, v, outcome) -> dict:
@@ -111,24 +154,27 @@ def _temp_beside(path: str) -> tuple[int, str]:
 def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO | None = None) -> int:
     """Certify every datum in the range; returns the exit code.
 
-    The range is cut into shards (f, r, m, head), the data of one
-    configuration whose first flattened entry is head, and all of them
-    go through one ordered pass: a pool of up to jobs workers, one per
-    batch of SHARDS_PER_BATCH consecutive shards, or builtin map where
-    one worker would do, so no configuration waits for the one before
-    it.  One line per configuration plus a total, in enumeration order,
-    so two runs over the same range print identical summaries whatever
-    the worker count; a configuration's line is printed when its last
-    shard returns, once its data count is checked against count_data,
-    so with the checks of _verify_shard a pass covers M(f, r; m)
-    exactly; a wrong count raises RuntimeError.  An error that escapes a
-    shard ends the sweep, and the pool runs no shard that no worker has
-    taken yet; a worker that dies raises RuntimeError naming the first
-    batch that did not return.  The first failing datum, if any, is printed as a
-    full JSON report; with report_path the summary and all failures are
-    written to a JSON file as well, through a new temporary file beside
-    it that then replaces it, so an interrupted write leaves no
-    truncated report and a failed one leaves no temporary file.
+    The range is cut into class shards (f, r, m, z), the rotation
+    classes of one configuration whose necklaces start with exactly z
+    zeros, z <= f * r - r, and all of them go through one ordered pass:
+    a pool of up to jobs workers, one per batch of SHARDS_PER_BATCH
+    consecutive shards, or builtin map where one worker would do, so no
+    configuration waits for the one before it.  One line per
+    configuration plus a total, in enumeration order, so two runs over
+    the same range print identical summaries whatever the worker count;
+    a configuration's line is printed when its last shard returns, once
+    its class count is checked against _class_count and its data count
+    against count_data, so with the checks of _verify_shard a pass
+    covers M(f, r; m) exactly; a wrong count raises RuntimeError.  Its
+    failures are sorted by flattened matrix, the order of enumerate_data.
+    An error that escapes a shard ends the sweep, and the pool runs no
+    shard that no worker has taken yet; a worker that dies raises
+    RuntimeError naming the first batch that did not return.  The first
+    failing datum, if any, is printed as a full JSON report; with
+    report_path the summary and all failures are written to a JSON file
+    as well, through a new temporary file beside it that then replaces
+    it, so an interrupted write leaves no truncated report and a failed
+    one leaves no temporary file.
     """
     out = stream or sys.stdout
     if report_path is not None:
@@ -140,10 +186,11 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
         fd, tmp = _temp_beside(report_path)
         os.close(fd)
         os.remove(tmp)
-    tasks = [(f, r, m, head) for f, r, m in rng.configurations() for head in range(m + 1)]
+    tasks = [(f, r, m, z) for f, r, m in rng.configurations() for z in range(f * r - r + 1)]
     configs = []
     failures = []
-    total = data = fail = 0
+    total = classes = data = 0
+    pending = []  # the failures of the configuration in progress
     batches = -(-len(tasks) // SHARDS_PER_BATCH)
     workers = min(rng.jobs, batches)
     pool, broken = None, ()  # () matches no error: without a pool nothing is imported
@@ -156,21 +203,28 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     done = 0
     try:
         results = pool.map(_verify_shard, tasks, chunksize=SHARDS_PER_BATCH) if pool else map(_verify_shard, tasks)
-        for done, ((count, failed), (f, r, m, head)) in enumerate(zip(results, tasks), 1):
-            failures.extend(failed)
+        for done, ((found, count, failed), (f, r, m, z)) in enumerate(zip(results, tasks), 1):
+            classes += found
             data += count
-            fail += len(failed)
-            if head == m:
+            pending.extend(failed)
+            if z == f * r - r:
+                expected = _class_count(f, r, m)
+                if classes != expected:
+                    message = f"the shards yield {classes} classes, the Burnside count gives {expected}"
+                    raise RuntimeError(f"f={f} r={r} m={m}: {message}")
                 expected = count_data(f, r, m)
                 if data != expected:
                     raise RuntimeError(f"f={f} r={r} m={m}: the shards yield {data} data, count_data gives {expected}")
+                pending.sort(key=lambda x: x["datum"]["rows"])  # rows compare as their flattenings do
+                failures.extend(pending)
                 total += data
-                configs.append({"f": f, "r": r, "m": m, "data": data, "fail": fail})
-                print(f"f={f} r={r} m={m} data={data} fail={fail}", file=out)
-                data = fail = 0
+                configs.append({"f": f, "r": r, "m": m, "data": data, "fail": len(pending)})
+                print(f"f={f} r={r} m={m} data={data} fail={len(pending)}", file=out)
+                classes = data = 0
+                pending = []
     except broken as exc:  # a worker died, and its batch and every one after it are lost
         lost = ", ".join(map(str, tasks[done:done + SHARDS_PER_BATCH]))
-        raise RuntimeError(f"the pool broke before shards (f, r, m, head) {lost} returned: {exc}") from exc
+        raise RuntimeError(f"the pool broke before shards (f, r, m, z) {lost} returned: {exc}") from exc
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)  # run no shard that no worker has taken yet

@@ -1,10 +1,10 @@
-"""Exhaustive enumeration and counting of embedding data."""
+"""Exhaustive enumeration and counting of embedding data and of their rotation classes."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd
 from operator import add, sub
 from typing import Iterator
 
@@ -82,6 +82,80 @@ def _shard(f: int, r: int, m: int, head: int) -> Iterator[tuple[int, ...]]:
 def _last_rows(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """The weak compositions of total into parts, kept for the next prefix that needs them."""
     return tuple(_weak_compositions(total, parts))
+
+
+def _necklaces(f: int, r: int, m: int, z: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(v, p) for each necklace v of M(f, r; m) with exactly z leading zeros, ascending; p is its least period.
+
+    A necklace is the least rotation of its class, whose p members are
+    the rotations v[k:] + v[:k] for k < p.  It starts with its longest
+    run of zeros, so z = 0 when every entry is positive.  Rotating v
+    permutes its column sums, as r divides f * r, so having no zero
+    column is a property of the class.
+
+    Iterative FKM (Ruskey, Savage & Wang, J. Algorithms 13, 1992) over
+    the prenecklaces in ascending order, pruned by the sum: a prefix of
+    period q extends by copying a[j - q], or by a raise above it, which
+    makes the prefix a Lyndon word of period j + 1.  The walk copies
+    while the sum allows; where a copy would pass m, no extension of the
+    prefix can stay within it, so the next prenecklace raises the last
+    entry before that point whose raise keeps the sum within m.  The sum
+    sets the last entry, a prenecklace when it is at least its copy, and
+    a prenecklace whose period divides f * r is a necklace.
+    """
+    n = f * r
+    a = [0] * n
+    s = [0] * n  # s[k] = sum(a[:k]) on the filled prefix a[:j]
+    j, q, total = z, 1, 0  # a[:j] is a prenecklace of period q and sum total
+    if z < n - 1:  # the first raise ends the leading zeros; at n - 1 the sum sets the last entry
+        a[z], j, q, total = 1, z + 1, z + 1, 1
+    while True:
+        while j < n - 1:
+            s[j] = total
+            c = a[j - q]
+            if total + c > m:
+                break
+            a[j] = c
+            total += c
+            j += 1
+        else:
+            s[j] = total
+            x, c = m - total, a[j - q]
+            if x >= c:
+                a[j] = x
+                p = q if x == c else n
+                if not n % p and all(any(a[k::r]) for k in range(r)):
+                    yield tuple(a), p
+        i = j - 1
+        while i >= z and s[i + 1] >= m:
+            i -= 1
+        if i < z:
+            return
+        a[i] += 1
+        j = q = i + 1
+        total = s[j] + 1
+
+
+def _class_count(f: int, r: int, m: int) -> int:
+    """Number of rotation classes of the flattenings of M(f, r; m), by Burnside's lemma.
+
+    With n = f * r, the phi(n / g) rotations of gcd g with n fix the
+    vectors that repeat a block of length g, n / g times; they exist
+    when n / g divides m, and the block sums to m * g / n.  Column j of
+    such a vector meets the block in the positions congruent to j mod
+    c = gcd(g, r), so the vector is a datum when the block, cut into
+    rows of c, has no zero column: count_data(g / c, c, m * g / n)
+    blocks.
+    """
+    n = f * r
+    total = 0
+    for g in range(1, n + 1):
+        if n % g or m % (n // g):
+            continue
+        c = gcd(g, r)
+        phi = sum(gcd(k, n // g) == 1 for k in range(n // g))
+        total += phi * count_data(g // c, c, m * g // n)
+    return total // n
 
 
 def count_data(f: int, r: int, m: int) -> int:

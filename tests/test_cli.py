@@ -247,7 +247,7 @@ def test_verify_report_probe_leaves_no_file_when_the_sweep_crashes(tmp_path, mon
     def crash(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "_shard", crash)
+    monkeypatch.setattr(cli, "_necklaces", crash)
     with pytest.raises(KeyboardInterrupt):
         run_verify(VerifyRange(1, 1, 1, 1), str(tmp_path / "sweep.json"))
     assert list(tmp_path.iterdir()) == []
@@ -258,17 +258,17 @@ def test_a_crash_at_jobs_2_stops_the_queued_shards(tmp_path, monkeypatch):
     # itself and takes a while, so a pool drained to the end runs them all
     log = tmp_path / "shards.log"
 
-    def shard(f, r, m, head):
-        if (f, r, m, head) == (1, 1, 1, 0):
+    def shard(f, r, m, z):
+        if (f, r, m, z) == (1, 1, 1, 0):
             raise ValueError("broken shard")
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{f} {r} {m} {head}\n")
+            fh.write(f"{f} {r} {m} {z}\n")
         time.sleep(0.1)
         return iter(())
 
-    monkeypatch.setattr(cli, "_shard", shard)
-    rng = VerifyRange(1, 1, 8, 1, jobs=2)
-    shards = sum(m + 1 for _, _, m in rng.configurations())
+    monkeypatch.setattr(cli, "_necklaces", shard)
+    rng = VerifyRange(3, 1, 8, 3, jobs=2)
+    shards = len(_class_tasks(rng))
     with pytest.raises(ValueError, match="broken shard"):
         run_verify(rng)
     ran = log.read_text().splitlines() if log.exists() else []
@@ -318,13 +318,13 @@ def test_a_dead_worker_at_jobs_2_exits_3_and_names_its_batch():
     finally:
         _end_group(proc)
     assert proc.returncode == 3 and "total" not in out and "f=2 r=2 m=3" not in out
-    lost = "(2, 2, 3, 1), (2, 2, 3, 2), (2, 2, 3, 3), (2, 2, 4, 0)"
-    message = f"error: internal: RuntimeError: the pool broke before shards (f, r, m, head) {lost} returned: "
+    lost = "(2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 3, 0), (2, 2, 3, 1)"
+    message = f"error: internal: RuntimeError: the pool broke before shards (f, r, m, z) {lost} returned: "
     assert err.splitlines()[-1].startswith(message)
 
 
 def test_an_interrupt_at_jobs_2_ends_the_sweep_at_once():
-    # at 0.5 s a shard a batch takes 2 s and the whole sweep 15 s; a worker
+    # at 0.5 s a shard a batch takes 2 s and the whole sweep 14 s; a worker
     # that caught the interrupt would go on to the batch queued for it
     proc = _planted_sweep("time.sleep(0.5)")
     try:
@@ -347,7 +347,7 @@ def test_a_crash_in_verify_exits_3(capsys, monkeypatch, error):
     def crash(*args):
         raise error("enumeration broke")
 
-    monkeypatch.setattr(cli, "_shard", crash)
+    monkeypatch.setattr(cli, "_necklaces", crash)
     code, out, err = run_cli(capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1")
     assert code == 3 and out == ""
     assert err.splitlines()[-1] == f"error: internal: {error.__name__}: enumeration broke"
@@ -396,9 +396,9 @@ def test_verify_starts_no_more_workers_than_shards(monkeypatch):
     monkeypatch.setattr(cli, "SHARDS_PER_BATCH", 4)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)  # run_verify imports it per call
     buf = io.StringIO()
-    assert run_verify(VerifyRange(1, 1, 1, 1, jobs=64), stream=buf) == 0  # 2 shards
-    assert buf.getvalue().endswith("total data=1 fail=0\n")
-    assert run_verify(VerifyRange(1, 1, 3, 1, jobs=64), stream=buf) == 0  # 9 shards
+    assert run_verify(VerifyRange(1, 1, 2, 1, jobs=64), stream=buf) == 0  # 2 shards
+    assert buf.getvalue().endswith("total data=2 fail=0\n")
+    assert run_verify(VerifyRange(2, 1, 3, 2, jobs=64), stream=buf) == 0  # 9 shards
     assert sizes == [3]  # one batch needs no pool
 
 
@@ -585,11 +585,10 @@ def test_verifier_reports_each_mismatch_site(tmp_path, capsys, monkeypatch, name
 )
 def test_a_failure_is_reported_as_verify_correspondence_reports_it(monkeypatch, name, mutate, site, fail):
     monkeypatch.setattr(correspondence, name, mutate(getattr(correspondence, name)))
-    tasks = [(f, r, m, head) for f, r, m in VerifyRange(2, 2, 3, 4).configurations() for head in range(m + 1)]
-    for task in tasks:
+    for task in _class_tasks(VerifyRange(2, 2, 3, 4)):
         f, r, m, _ = task
-        count, failures = cli._verify_shard(task)
-        data = [embedding._datum(f, r, m, v) for v in enumeration._shard(*task)]
+        _, count, failures = cli._verify_shard(task)
+        data = [embedding._datum(f, r, m, u) for u in _members(task)]
         assert count == len(data)
         if fail is None:
             assert len(failures) == count
@@ -609,13 +608,12 @@ def test_a_denominator_below_f_r_is_reported_as_verify_correspondence_reports_it
     # the class kernel scales the coordinates by f * r // den, which is 1 on
     # every datum the direct route gets right; here it is at least 2
     monkeypatch.setattr(correspondence, "_local_type_direct", _divisor_direct(correspondence._local_type_direct))
-    tasks = [
-        (f, r, m, head) for f, r, m in VerifyRange(2, 2, 3, 4).configurations() if f * r > 1 for head in range(m + 1)
-    ]
-    for task in tasks:
+    for task in _class_tasks(VerifyRange(2, 2, 3, 4)):
         f, r, m, _ = task
-        count, failures = cli._verify_shard(task)
-        data = [embedding._datum(f, r, m, v) for v in enumeration._shard(*task)]
+        if f * r == 1:
+            continue
+        _, count, failures = cli._verify_shard(task)
+        data = [embedding._datum(f, r, m, u) for u in _members(task)]
         assert count == len(failures) == len(data)
         for failure, datum in zip(failures, data):
             assert failure == report_to_json(correspondence.verify_correspondence(datum))
@@ -624,52 +622,120 @@ def test_a_denominator_below_f_r_is_reported_as_verify_correspondence_reports_it
             assert failure["complement"] == list(complement([n * (f * r // den) for n in nums]))
 
 
-# Each fault rewrites the vectors of one shard of f=2 r=2 m=3, whose shards
-# 1 and 2 are (1, 0, 0, 2), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0),
-# (1, 2, 0, 0) and (2, 0, 0, 1), (2, 1, 0, 0); every datum still passes its
-# checks, so only the coverage checks can stop the sweep.
+# Each fault rewrites the necklaces of one class shard (f, r, m, z) of the
+# range f, r <= 2, f * r <= 4, m <= 4.  Shard (2, 2, 3, 1) holds (0, 1, 1, 1),
+# shard (2, 2, 3, 2) holds (0, 0, 1, 2) and (0, 0, 2, 1), all of period 4, and
+# shard (2, 1, 4, 0) holds (1, 3) of period 2 and (2, 2) of period 1; every
+# datum still passes its checks, so only the coverage checks can stop the sweep.
 COVERAGE_FAULTS = [
-    ("dropped", 1, lambda vs: vs[:-1], "the shards yield 11 data, count_data gives 12"),
+    ("dropped", (2, 2, 3, 2), lambda vs: vs[:-1], "the shards yield 2 classes, the Burnside count gives 3"),
     (
-        "duplicated", 1, lambda vs: vs[:1] * 2 + vs[2:],
-        "shard 1 yields (1, 0, 0, 2) after (1, 0, 0, 2), not a new datum with first entry 1",
+        "duplicated", (2, 2, 3, 2), lambda vs: vs[:1] * 2 + vs[1:],
+        "shard 2 yields (0, 0, 1, 2) after (0, 0, 1, 2), not a new necklace",
     ),
     (
-        "from-the-shard-before", 2, lambda vs: [(1, 2, 0, 0)] + vs[1:],
-        "shard 2 yields (1, 2, 0, 0) after (), not a new datum with first entry 2",
+        "from-the-shard-before", (2, 2, 3, 2), lambda vs: [((0, 1, 1, 1), 4)] + vs[1:],
+        "shard 2 yields (0, 1, 1, 1), whose first nonzero entry is not at index 2",
     ),
-    ("heavier", 1, lambda vs: vs[:-1] + [(1, 2, 0, 1)], "shard 1 yields (1, 2, 0, 1), with 4 units, not 3"),
+    (
+        "not-least", (2, 1, 4, 0), lambda vs: [((3, 1), 2)] + vs[1:],
+        "shard 0 yields (3, 1) with period 2, whose rotation by 1 is (1, 3), not above it",
+    ),
+    (
+        "period-too-long", (2, 1, 4, 0), lambda vs: vs[:1] + [((2, 2), 2)],
+        "shard 0 yields (2, 2) with period 2, whose rotation by 1 is (2, 2), not above it",
+    ),
+    (
+        "period-too-short", (2, 2, 3, 2), lambda vs: [(vs[0][0], 2)] + vs[1:],
+        "shard 2 yields (0, 0, 1, 2) with period 2, which it does not have",
+    ),
+    (
+        "zero-column", (2, 2, 3, 1), lambda vs: [((0, 1, 0, 2), 4)] + vs,
+        "shard 1 yields (0, 1, 0, 2), which has a zero column",
+    ),
+    ("heavier", (2, 2, 3, 2), lambda vs: vs + [((0, 0, 2, 2), 4)], "shard 2 yields (0, 0, 2, 2), with 4 units, not 3"),
 ]
+
+
+def _class_tasks(rng):
+    """The class shards (f, r, m, z) of the range, in the order run_verify maps them."""
+    return [(f, r, m, z) for f, r, m in rng.configurations() for z in range(f * r - r + 1)]
+
+
+def _members(task):
+    """The flat data of a class shard, necklace by necklace, each in rotation order."""
+    return [v[k:] + v[:k] for v, p in enumeration._necklaces(*task) for k in range(p)]
+
+
+def _verify_small_range(capsys, jobs):
+    return run_cli(capsys, "verify", "--f-max", "2", "--r-max", "2", "--m-max", "4", "--fr-max", "4", "--jobs", jobs)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize(
-    "head, fault, message", [pytest.param(*case[1:], id=case[0]) for case in COVERAGE_FAULTS]
+    "task, fault, message", [pytest.param(*case[1:], id=case[0]) for case in COVERAGE_FAULTS]
 )
-def test_a_sweep_that_misses_or_repeats_a_datum_exits_3(capsys, monkeypatch, head, fault, message, jobs):
-    # a pass must cover M(f, r; m) exactly; forked pool workers inherit the stub
-    shard = enumeration._shard
+def test_a_sweep_that_misses_or_repeats_a_datum_exits_3(capsys, monkeypatch, task, fault, message, jobs):
+    # a pass must cover M(f, r; m) exactly, one necklace per class and each
+    # member once; forked pool workers inherit the stub
+    necklaces = enumeration._necklaces
 
-    def faulty(*task):
-        vectors = list(shard(*task))
-        return iter(fault(vectors) if task == (2, 2, 3, head) else vectors)
+    def faulty(*shard):
+        found = list(necklaces(*shard))
+        return iter(fault(found) if shard == task else found)
 
-    monkeypatch.setattr(cli, "_shard", faulty)
-    code, out, err = run_cli(
-        capsys, "verify", "--f-max", "2", "--r-max", "2", "--m-max", "4", "--fr-max", "4", "--jobs", jobs
-    )
-    assert code == 3 and "f=2 r=2 m=3" not in out
+    monkeypatch.setattr(cli, "_necklaces", faulty)
+    code, out, err = _verify_small_range(capsys, jobs)
+    f, r, m, _ = task
+    assert code == 3 and f"f={f} r={r} m={m} " not in out
+    assert err.splitlines()[-1] == f"error: internal: RuntimeError: f={f} r={r} m={m}: {message}"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "counter, message",
+    [
+        ("_class_count", "the shards yield 3 classes, the Burnside count gives 4"),
+        ("count_data", "the shards yield 12 data, count_data gives 13"),
+    ],
+)
+def test_an_off_by_one_count_exits_3(capsys, monkeypatch, counter, message, jobs):
+    # the counts are checked in the main process, once a configuration's last shard returns
+    original = getattr(cli, counter)
+    monkeypatch.setattr(cli, counter, lambda f, r, m: original(f, r, m) + ((f, r, m) == (2, 2, 3)))
+    code, out, err = _verify_small_range(capsys, jobs)
+    assert code == 3 and "f=2 r=2 m=2 " in out and "f=2 r=2 m=3 " not in out
     assert err.splitlines()[-1] == f"error: internal: RuntimeError: f=2 r=2 m=3: {message}"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_direct_side_that_is_not_a_class_function_exits_3(capsys, monkeypatch, jobs):
+    # the direct side runs on the necklace only, so a route that fails only the
+    # data that start with a zero fails the class of (0, 1) while its member
+    # (1, 0) passes its own checks; forked pool workers inherit the mutant
+    original = correspondence._local_type_direct
+    off = _off_direct(original)
+    monkeypatch.setattr(correspondence, "_local_type_direct", lambda f, r, v: (off if v[0] == 0 else original)(f, r, v))
+    code, out, err = _verify_small_range(capsys, jobs)
+    assert code == 3 and "f=2 r=1 m=1 " not in out
+    message = "(1, 0) passes its own checks but fails with its class (0, 1): the direct side is not a class function"
+    assert err.splitlines()[-1] == f"error: internal: RuntimeError: f=2 r=1 m=1: {message}"
+
+
 def test_failures_keep_their_order_across_batches(tmp_path, capsys, monkeypatch):
-    # failing shards spread over several pool batches, with two mismatch sites
+    # failing data spread over several pool batches, with two mismatch sites
     failing = {(1, 1, 3, 3): "exception", (1, 2, 4, 2): "pipeline-agreement", (2, 1, 3, 1): "exception",
                (2, 2, 3, 0): "pipeline-agreement", (2, 2, 4, 1): "exception"}
     monkeypatch.setattr(cli, "SHARDS_PER_BATCH", 4)
     rng = VerifyRange(2, 2, 4, 4)
-    tasks = [(f, r, m, head) for f, r, m in rng.configurations() for head in range(m + 1)]
-    assert len({tasks.index(t) // cli.SHARDS_PER_BATCH for t in failing}) == len(failing)
+    # the failing data lie in class shards of as many batches as there are
+    # failing keys, and those of f=2 r=2 m=3 in two of them
+    batches = {}
+    for index, task in enumerate(_class_tasks(rng)):
+        for u in _members(task):
+            if (*task[:3], u[0]) in failing:
+                batches.setdefault(task[:3], set()).add(index // cli.SHARDS_PER_BATCH)
+    assert len(set().union(*batches.values())) == len(failing) and len(batches[(2, 2, 3)]) == 2
     original = correspondence._local_type_geometric
 
     def geometric(f, r, v):

@@ -46,8 +46,8 @@ from embtypes.correspondence import (
     verify_correspondence,
 )
 from embtypes.embedding import EmbeddingDatum, _skeleton, data_equivalent, make_datum, skeleton
-from embtypes.enumeration import _shard, enumerate_data
-from oracles import brute_square_entry, skeleton_of
+from embtypes.enumeration import _necklaces, _shard, enumerate_data
+from oracles import all_rotations, brute_square_entry, least_rotation, skeleton_of
 
 WORKED = make_datum(((1, 0), (1, 3), (0, 0), (0, 1), (0, 1), (0, 0)), 6, 2, 7)
 WORKED_MU = tuple(F(n, 12) for n in (3, 2, 1, 0, 0, 4, 2))
@@ -283,6 +283,29 @@ def test_direct_class_is_constant_on_the_equivalence_class(datum):
         assert coordinate_class(local_type_direct(other)) == mine
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [pytest.param((6, 4, 7, 8), id="fr8-slice"), pytest.param((6, 4, 7, 12), id="gate", marks=pytest.mark.slow)],
+)
+def test_the_class_kernel_gives_every_datum_what_it_gives_its_necklace(bounds):
+    # the sweep runs the direct side on each necklace only, so on every datum
+    # it must fail at the same site, with vectors that are rotations of the
+    # necklace's; the necklace here is the oracle's least rotation
+    def turned(a, b):
+        return a is None and b is None or a is not None and tuple(b) in all_rotations(a)
+
+    for f, r, m in cli.VerifyRange(*bounds).configurations():
+        sides = {}
+        for head in range(m + 1):
+            for u in _shard(f, r, m, head):
+                v = least_rotation(u)
+                if v not in sides:
+                    sides[v] = _class_kernel(f, r, v)
+                _, comp, direct, site = _class_kernel(f, r, u)
+                _, class_comp, class_direct, class_site = sides[v]
+                assert site == class_site and turned(class_comp, comp) and turned(class_direct, direct), (f, r, u)
+
+
 def test_geometric_route_of_the_worked_datum():
     moved = WORKED_GEOMETRIC_MOVED
     assert moved.alpha == tuple(F(n, 24) for n in (9, 7, 6, 6, 6, 2, 0))
@@ -407,7 +430,7 @@ def test_the_checks_of_a_datum_build_no_canonical_form():
     # the sweep compares flat vectors by rotation only, so a passing datum
     # needs no canonical class, no report, no rows and no Fraction;
     # cli._failure builds them for a failing one
-    for fn in (_class_kernel, _member_kernel, _checks, _shard):
+    for fn in (_class_kernel, _member_kernel, _checks, _shard, _necklaces):
         assert not _names_reached(fn) & (CANONICAL | FLAT), fn.__name__
     shard_loop = _names_reached(cli._verify_shard, skip={cli._failure})
     assert "_failure" in shard_loop and not shard_loop & (CANONICAL | FLAT)
@@ -430,8 +453,11 @@ def test_the_complement_core_shares_no_code_with_the_pairs_form():
 
 def test_the_shard_loop_validates_nothing():
     # the loop builds every vector, level and degree a datum's checks read,
-    # so the per-datum path re-checks none of them; the cached
-    # _lifted_barycenter checks its chain and d on a cache miss only, once per key
+    # so the per-datum path re-checks none of them; it calls the class kernel
+    # on each necklace, the member kernel on each rotation and _checks on a
+    # failing member itself; the cached _lifted_barycenter checks its chain
+    # and d on a cache miss only, once per key
     reached = _names_reached(cli._verify_shard, skip={cli._failure, _lifted_barycenter})
-    assert {"_failure"} | GEOMETRIC_ROUTE <= reached
+    loop = {"_necklaces", "_class_kernel", "_member_kernel", "_checks", "_failure"}
+    assert loop | DIRECT_ROUTE | GEOMETRIC_ROUTE <= reached
     assert not reached & VALIDATION

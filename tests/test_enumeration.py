@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from embtypes.cyclic import flatten
 from embtypes.embedding import make_datum
-from embtypes.enumeration import _shard, _weak_compositions, count_data, enumerate_data
-from oracles import class_count, least_rotation, valid_flattenings
+from embtypes.enumeration import _class_count, _necklaces, _shard, _weak_compositions, count_data, enumerate_data
+from oracles import all_rotations, class_count, least_rotation, valid_flattenings
 
 
 def test_single_cell_pool():
@@ -49,6 +49,39 @@ def test_the_class_count_formula_matches_the_enumeration():
         if f * r <= 8:
             classes = {least_rotation(flatten(d.rows)) for d in enumerate_data(f, r, m)}
             assert class_count(f, r, m) == len(classes), (f, r, m)
+
+
+def test_the_runtime_class_count_matches_the_oracle():
+    # every configuration of f, r <= 10, f*r <= 20, m <= 10, which holds the
+    # gate (f<=6, r<=4, f*r<=12, m<=7) and the extended range (f, r <= 8, f*r <= 16, m <= 9)
+    totals = {(6, 4, 7, 12): 0, (8, 8, 9, 16): 0, (10, 10, 10, 20): 0}
+    for f, r, m in product(range(1, 11), range(1, 11), range(1, 11)):
+        if f * r <= 20:
+            classes = _class_count(f, r, m)
+            assert classes == class_count(f, r, m), (f, r, m)
+            for bounds in totals:
+                if f <= bounds[0] and r <= bounds[1] and m <= bounds[2] and f * r <= bounds[3]:
+                    totals[bounds] += classes
+    assert list(totals.values()) == [12327, 412876, 5388529]
+
+
+def test_necklaces_are_the_least_rotations_of_the_data():
+    # every configuration of the fr<=8 slice of the gate: the shards z = 0, ...,
+    # f*r - r split the classes by their leading zeros, each necklace with its
+    # least period, ascending within a shard
+    for f, r, m in product(range(1, 7), range(1, 5), range(1, 8)):
+        if f * r > 8:
+            continue
+        n = f * r
+        shards = [list(_necklaces(f, r, m, z)) for z in range(n - r + 1)]
+        for z, shard in enumerate(shards):
+            assert [v for v, _ in shard] == sorted({v for v, _ in shard}), (f, r, m, z)
+            for v, p in shard:
+                assert v[:z] == (0,) * z and v[z] > 0, (f, r, m, z, v)
+                assert p == (all_rotations(v) + [v]).index(v, 1), (v, p)  # the rotation by n is v
+        found = sorted(v for shard in shards for v, _ in shard)
+        assert found == sorted({least_rotation(v) for v in valid_flattenings(f, r, m)}), (f, r, m)
+        assert sum(p for shard in shards for _, p in shard) == count_data(f, r, m), (f, r, m)
 
 
 def test_enumerated_data_pass_make_datum_unchanged():
