@@ -13,69 +13,47 @@ from .embedding import EmbeddingDatum, _datum
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Non-negative integer vectors of the given length and sum.
+    """Non-negative integer vectors of the given length (parts >= 1) and sum.
 
-    Ascending lexicographic order on the vectors; no parts give the
-    empty vector when the total is 0 and nothing otherwise.  Stars and
-    bars: the cuts 0 <= c_1 <= ... <= c_{parts-1} <= total give the
-    vector (c_1, c_2 - c_1, ..., total - c_{parts-1}), and itertools
-    yields the cuts in ascending lexicographic order, hence the vectors
-    too (Knuth, TAOCP 7.2.1.3).  One part has one empty cut: (total,).
+    Ascending lexicographic order on the vectors.  Stars and bars: the
+    cuts 0 <= c_1 <= ... <= c_{parts-1} <= total give the vector
+    (c_1, c_2 - c_1, ..., total - c_{parts-1}), and itertools yields the
+    cuts in ascending lexicographic order, hence the vectors too (Knuth,
+    TAOCP 7.2.1.3).  One part has one empty cut: (total,).
     """
-    if not parts:
-        if total == 0:
-            yield ()
-        return
     end = (total,)
     for cuts in combinations_with_replacement(range(total + 1), parts - 1):
         yield tuple(map(sub, cuts + end, (0,) + cuts))
 
 
 def enumerate_data(f: int, r: int, m: int) -> Iterator[EmbeddingDatum]:
-    """Every datum of M(f, r; m) once, ascending in the flattened matrix.
+    """Every datum of M(f, r; m) once, ascending in the flattened matrix v; column j is v[j::r].
 
-    The shards of _shard for head = 0, ..., m, in turn.  Empty when
-    r > m, since each of the r columns needs a positive entry.  Only
-    valid vectors are built, so none goes through make_datum.
+    Only valid vectors are built, by one construction, so none goes
+    through make_datum.  A weak composition of m into (f - 1) * r + 1
+    parts (so parts >= 1) gives the prefix, every row but the last, and
+    as its last part the slack s of the last row.  The last row puts a
+    unit in each column the prefix leaves empty (need), so it is need
+    plus a weak composition of s - sum(need) into r parts, and a prefix
+    whose need passes s gives nothing.  With one row the prefix is empty
+    and every column needs a unit, so nothing comes when r > m.  Each
+    prefix comes once, ascending, and adding the fixed vector need keeps
+    the order of the last rows, so the vectors come out ascending.
     """
     _ints((f, r, m), "f, r and m must be positive integers", 1)
-    for head in range(m + 1):
-        for v in _shard(f, r, m, head):
-            yield _datum(f, r, m, v)
-
-
-def _shard(f: int, r: int, m: int, head: int) -> Iterator[tuple[int, ...]]:
-    """The flattenings of the data of M(f, r; m) whose first entry is head, ascending; column j is v[j::r].
-
-    Only valid vectors are built, by one construction.  The tail is the
-    part of the last row that gets built: all r entries, or the last
-    r - 1 when f == 1, as head is then that row's first entry.  A weak
-    composition of m - head into f * r - tail parts gives the entries
-    between head and the tail and, as its last part, the slack s.  The
-    tail puts a unit in each of its columns the prefix leaves empty
-    (need), so it is need plus a weak composition of s - sum(need) into
-    tail parts.  With one row, column 0 holds head only, so head 0
-    leaves it empty.  The prefix fixes every entry before the tail, and
-    adding the fixed vector need keeps the order of the compositions,
-    so the vectors come out ascending.
-    """
-    tail = r - (f == 1)
-    if tail < r and not head:
-        return
-    columns = range(r - tail, r)
-    for comp in _weak_compositions(m - head, f * r - tail):
-        prefix = (head,) + comp[:-1]
-        need = [0 if any(prefix[j::r]) else 1 for j in columns]
+    for comp in _weak_compositions(m, (f - 1) * r + 1):
+        prefix = comp[:-1]
+        need = [0 if any(prefix[j::r]) else 1 for j in range(r)]
         short = sum(need)
         if short > comp[-1]:
             continue
-        rows = _last_rows(comp[-1] - short, tail)
+        rows = _last_rows(comp[-1] - short, r)
         if short:
             for row in rows:
-                yield prefix + tuple(map(add, row, need))
+                yield _datum(f, r, m, prefix + tuple(map(add, row, need)))
         else:
             for row in rows:
-                yield prefix + row
+                yield _datum(f, r, m, prefix + row)
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import fractions
 import hashlib
 import io
@@ -17,6 +18,8 @@ import venv
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embtypes import cli, correspondence, cyclic, embedding, enumeration
 from embtypes.cli import VerifyRange, main, run_verify
@@ -135,6 +138,53 @@ def test_json_nested_too_deeply_exits_2(capsys, argv):
     # the decoder runs out of recursion depth: malformed input, not a crash
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", "error: JSON nested too deeply\n")
+
+
+SIZES = st.integers(-2, 4)
+SCALARS = st.integers(-3, 6) | st.booleans() | st.none() | st.floats() | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["f", "r", "m", "rows", "n"]), inner, max_size=5),
+    max_leaves=16,
+)
+MATRICES = st.integers(1, 3).flatmap(
+    lambda r: st.lists(st.lists(st.integers(0, 3), min_size=r, max_size=r), min_size=1, max_size=3)
+)
+NEAR_VALID = (
+    st.lists(st.integers(0, 4), min_size=1, max_size=6)
+    | MATRICES
+    | MATRICES.map(lambda rows: {"f": len(rows), "r": len(rows[0]), "m": sum(map(sum, rows)), "rows": rows})
+    | st.lists(st.integers(0, 3), min_size=1, max_size=5).map(lambda ks: [[k, sum(ks) or 1] for k in ks])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["canon", "pairs", "complement", "flatten", "local-type", "embedding-type", "enumerate"]),
+    (JSON_VALUES | NEAR_VALID).map(json.dumps) | st.text(max_size=12),
+    SIZES,
+    SIZES,
+    SIZES,
+)
+def test_every_command_exits_0_or_2_on_any_input(command, text, f, r, m):
+    # JSON of every kind (NaN and infinities included), near-valid vectors,
+    # matrices, data and local types, and raw text, with small entries and
+    # sizes so no example builds much; bad input exits 2 with nothing on
+    # stdout, and nothing exits 3 (a crash)
+    if command == "local-type":
+        argv = [command, f"--datum={text}"]
+    elif command == "embedding-type":
+        argv = [command, f"--mu={text}", f"--f={f}", f"--r={r}"]
+    elif command == "enumerate":
+        argv = [command, f"--f={f}", f"--r={r}", f"--m={m}"]
+    else:
+        argv = [command, "--", text]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    assert code == 0 or out.getvalue() == ""
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import random
 import textwrap
 from fractions import Fraction as F
 from itertools import product
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -46,8 +46,16 @@ from embtypes.correspondence import (
     verify_correspondence,
 )
 from embtypes.embedding import EmbeddingDatum, _skeleton, data_equivalent, make_datum, skeleton
-from embtypes.enumeration import _necklaces, _shard, enumerate_data
-from oracles import all_rotations, brute_square_entry, least_rotation, skeleton_of
+from embtypes.enumeration import _necklaces, enumerate_data
+from oracles import (
+    all_rotations,
+    brute_square_entry,
+    class_count,
+    complement_of,
+    least_rotation,
+    skeleton_of,
+    valid_flattenings,
+)
 
 WORKED = make_datum(((1, 0), (1, 3), (0, 0), (0, 1), (0, 1), (0, 0)), 6, 2, 7)
 WORKED_MU = tuple(F(n, 12) for n in (3, 2, 1, 0, 0, 4, 2))
@@ -239,15 +247,14 @@ def test_the_sweep_builds_no_fraction():
 
 
 def test_the_flat_layers_agree_with_the_datum_layers():
-    # every vector of every small shard: the direct numerators over f * r
-    # and the strided columns
+    # every flat datum of every small configuration: the direct numerators
+    # over f * r and the strided columns
     for f, r, m in product(range(1, 4), range(1, 4), range(1, 6)):
         ft = f * r
-        for head in range(m + 1):
-            for v in _shard(f, r, m, head):
-                d = make_datum([v[i : i + r] for i in range(0, ft, r)], f, r, m)
-                assert _local_type_direct(f, r, v) == (tuple(x * ft for x in local_type_direct(d)), ft)
-                assert _skeleton(r, v) == tuple(skeleton(d)) == skeleton_of(d.rows)
+        for v in valid_flattenings(f, r, m):
+            d = make_datum([v[i : i + r] for i in range(0, ft, r)], f, r, m)
+            assert _local_type_direct(f, r, v) == (tuple(x * ft for x in local_type_direct(d)), ft)
+            assert _skeleton(r, v) == tuple(skeleton(d)) == skeleton_of(d.rows)
 
 
 @pytest.mark.parametrize("rows, m", [(((1, 1, 1), (1,)), 4), (((1, 1), (1,)), 3)])
@@ -296,14 +303,41 @@ def test_the_class_kernel_gives_every_datum_what_it_gives_its_necklace(bounds):
 
     for f, r, m in cli.VerifyRange(*bounds).configurations():
         sides = {}
-        for head in range(m + 1):
-            for u in _shard(f, r, m, head):
-                v = least_rotation(u)
-                if v not in sides:
-                    sides[v] = _class_kernel(f, r, v)
-                _, comp, direct, site = _class_kernel(f, r, u)
-                _, class_comp, class_direct, class_site = sides[v]
-                assert site == class_site and turned(class_comp, comp) and turned(class_direct, direct), (f, r, u)
+        for u in valid_flattenings(f, r, m):
+            v = least_rotation(u)
+            if v not in sides:
+                sides[v] = _class_kernel(f, r, v)
+            _, comp, direct, site = _class_kernel(f, r, u)
+            _, class_comp, class_direct, class_site = sides[v]
+            assert site == class_site and turned(class_comp, comp) and turned(class_direct, direct), (f, r, u)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [pytest.param((6, 4, 7, 8), id="fr8-slice"), pytest.param((6, 4, 7, 12), id="gate", marks=pytest.mark.slow)],
+)
+def test_every_local_type_necklace_maps_back_to_its_class(bounds):
+    # the reverse of the class sweep: a necklace mu of length m and sum f * r
+    # is a local type of M(f, r; m) exactly when its complement, cut into f
+    # rows of r, has no zero column; one column is never empty, so z < m.
+    # Both routes of the datum it gives must return mu's class
+    for f, r, m in cli.VerifyRange(*bounds).configurations():
+        n, mapped = f * r, 0
+        for z in range(m):
+            for mu, _ in _necklaces(m, 1, n, z):
+                comp = complement_of(mu)
+                valid = all(any(comp[j::r]) for j in range(r))
+                try:
+                    datum = embedding_type_from_local(mu, f, r)
+                except ValueError:
+                    assert not valid, (f, r, m, mu)
+                    continue
+                assert valid, (f, r, m, mu)
+                g = gcd(*mu)
+                assert local_type_geometric(datum) == CyclicClass(tuple(x // g for x in mu)), (f, r, m, mu)
+                assert tuple(n * x for x in local_type_direct(datum)) in all_rotations(mu), (f, r, m, mu)
+                mapped += 1
+        assert mapped == class_count(f, r, m), (f, r, m)
 
 
 def test_geometric_route_of_the_worked_datum():
@@ -430,7 +464,7 @@ def test_the_checks_of_a_datum_build_no_canonical_form():
     # the sweep compares flat vectors by rotation only, so a passing datum
     # needs no canonical class, no report, no rows and no Fraction;
     # cli._failure builds them for a failing one
-    for fn in (_class_kernel, _member_kernel, _checks, _shard, _necklaces):
+    for fn in (_class_kernel, _member_kernel, _checks, _necklaces):
         assert not _names_reached(fn) & (CANONICAL | FLAT), fn.__name__
     shard_loop = _names_reached(cli._verify_shard, skip={cli._failure})
     assert "_failure" in shard_loop and not shard_loop & (CANONICAL | FLAT)

@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 
 from embtypes.cyclic import flatten
 from embtypes.embedding import make_datum
-from embtypes.enumeration import _class_count, _necklaces, _shard, _weak_compositions, count_data, enumerate_data
+from embtypes.enumeration import _class_count, _necklaces, _weak_compositions, count_data, enumerate_data
 from oracles import all_rotations, class_count, least_rotation, valid_flattenings
+
+
+def _flats(f, r, m):
+    return [flatten(d.rows) for d in enumerate_data(f, r, m)]
 
 
 def test_single_cell_pool():
@@ -100,61 +104,47 @@ def test_enumeration_is_sorted_and_duplicate_free(f, r, m):
         assert (d.f, d.r, d.m) == (f, r, m)
 
 
-def test_shards_by_first_entry_concatenate_to_the_enumeration():
-    for f, r, m in product(range(1, 4), range(1, 4), range(1, 6)):
-        shards = [list(_shard(f, r, m, head)) for head in range(m + 1)]
-        assert [v for shard in shards for v in shard] == [flatten(d.rows) for d in enumerate_data(f, r, m)]
-        for head, shard in enumerate(shards):
-            assert all(v[0] == head for v in shard)
-    # with f * r = 1 the single entry is m, so only the last shard holds a datum
-    assert [list(_shard(1, 1, 3, head)) for head in range(4)] == [[], [], [], [(3,)]]
-
-
-def test_shards_match_the_filter_oracle():
-    # every configuration of the gate (f<=6, r<=4, f*r<=12, m<=7) and every head
+def test_the_enumeration_matches_the_filter_oracle():
+    # every configuration of the gate (f<=6, r<=4, f*r<=12, m<=7)
     for f, r, m in product(range(1, 7), range(1, 5), range(1, 8)):
         if f * r <= 12:
-            expected = valid_flattenings(f, r, m)
-            for head in range(m + 1):
-                assert list(_shard(f, r, m, head)) == [v for v in expected if v[0] == head], (f, r, m, head)
-    # one row, wider than the gate: head and then the tail of the same row
+            assert _flats(f, r, m) == valid_flattenings(f, r, m), (f, r, m)
+    # one row, wider than the gate: the prefix is empty and every column needs a unit
     for r, m in product(range(1, 9), range(1, 10)):
-        expected = valid_flattenings(1, r, m)
-        for head in range(m + 1):
-            assert list(_shard(1, r, m, head)) == [v for v in expected if v[0] == head], (r, m, head)
+        assert _flats(1, r, m) == valid_flattenings(1, r, m), (r, m)
     # the wide shapes, where most weak compositions have an empty column
     for f, r, m in product(range(1, 3), range(1, 17), range(1, 10)):
         if f * r <= 16:
-            assert sum(1 for head in range(m + 1) for _ in _shard(f, r, m, head)) == count_data(f, r, m), (f, r, m)
+            assert sum(1 for _ in enumerate_data(f, r, m)) == count_data(f, r, m), (f, r, m)
 
 
-def test_shard_edge_cases():
-    # one row: column 0 is head, so head 0 leaves it empty when r > 1,
-    # and the other r - 1 columns need r - 1 of the m - head units
-    assert list(_shard(1, 3, 5, 0)) == []
-    assert list(_shard(1, 3, 5, 4)) == [] and list(_shard(1, 2, 3, 3)) == []
-    assert list(_shard(1, 3, 5, 3)) == [(3, 1, 1)]
-    # one column: every composition has its column filled, so the general
+def test_enumeration_edge_cases():
+    # one row: no column may be 0 when r > 1, and the other r - 1 columns
+    # need r - 1 of the m - v[0] units
+    flats = _flats(1, 3, 5)
+    assert [v for v in flats if v[0] in (0, 4)] == [] and [v for v in _flats(1, 2, 3) if v[0] == 3] == []
+    assert [v for v in flats if v[0] == 3] == [(3, 1, 1)]
+    # one column: every composition has its column filled, so the
     # construction yields each once, the last row topped up to the slack
     for f, m in product(range(2, 5), range(1, 5)):
-        assert [v for head in range(m + 1) for v in _shard(f, 1, m, head)] == list(_weak_compositions(m, f))
+        assert _flats(f, 1, m) == list(_weak_compositions(m, f))
     # up to f = 16 and m = 9, less the corner f > 8, m > 5, which holds 5.2M of its 5.3M data
     for f, m in product(range(2, 17), range(1, 10)):
         if f <= 8 or m <= 5:
-            assert sum(1 for head in range(m + 1) for _ in _shard(f, 1, m, head)) == count_data(f, 1, m), (f, m)
+            assert sum(1 for _ in enumerate_data(f, 1, m)) == count_data(f, 1, m), (f, m)
     # more columns than units
-    for f, head in product(range(1, 4), range(3)):
-        assert list(_shard(f, 3, 2, head)) == []
+    for f in range(1, 4):
+        assert _flats(f, 3, 2) == []
     # a single entry holds all of m
-    assert [list(_shard(1, 1, 4, head)) for head in range(5)] == [[], [], [], [], [(4,)]]
+    assert _flats(1, 1, 3) == [(3,)] and _flats(1, 1, 4) == [(4,)]
     # the prefix (2, 0) leaves column 1 empty with no units left for it
-    assert list(_shard(2, 2, 2, 2)) == []
+    assert [v for v in _flats(2, 2, 2) if v[0] == 2] == []
 
 
 def test_weak_compositions_match_brute_force():
-    # p = 0 gives the empty vector for t = 0 only, p = 1 the single vector (t,)
+    # p = 1 gives the single vector (t,)
     for t in range(7):
-        for p in range(6):
+        for p in range(1, 6):
             expected = sorted(v for v in product(range(t + 1), repeat=p) if sum(v) == t)
             assert list(_weak_compositions(t, p)) == expected
 
