@@ -14,10 +14,8 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
 
 from .apartment import coordinate_class
 from .correspondence import (
-    _checks,
     _class_kernel,
     _member_kernel,
-    _report,
     embedding_type_from_local,
     report_to_json,
     verify_correspondence,
@@ -74,9 +72,9 @@ def _verify_shard(task):
     on each of its p rotations through _member_kernel.  Returns the
     numbers of classes and data and the failing members' failures, so a
     pool worker receives four integers and sends back no datum that
-    passed.  A failing member is reported from its own _checks; one that
-    passes them shows a direct side that is not a class function, and
-    raises RuntimeError.  So does a vector that does not start with
+    passed.  A failing member is reported by verify_correspondence; one
+    that passes there shows a direct side that is not a class function,
+    and raises RuntimeError.  So does a vector that does not start with
     exactly z zeros, is not above the one before it, does not sum to m,
     has a zero column or does not repeat with period p, or a rotation
     by 0 < k < p that is not above v: the classes checked are then
@@ -120,31 +118,30 @@ def _verify_shard(task):
                     agreement = "exception"
                 if agreement is None:
                     continue
-            try:
-                outcome = _checks(f, r, u)
-            except Exception as exc:
-                outcome = exc
-            if not isinstance(outcome, Exception) and outcome[-1] is None:
+            failure = _failure(f, r, m, u)
+            if failure["verdict"] == "pass":
                 message = f"{u} passes its own checks but fails with its class {v}"
                 raise RuntimeError(f"f={f} r={r} m={m}: {message}: the direct side is not a class function")
-            failures.append(_failure(f, r, m, u, outcome))
+            failures.append(failure)
     return classes, count, failures
 
 
-def _failure(f, r, m, v, outcome) -> dict:
-    """Wire form of the flat datum v, as verify_correspondence reports what _checks gave or raised."""
+def _failure(f, r, m, v) -> dict:
+    """Wire form of the flat datum v, as verify_correspondence reports it or what it raised."""
     datum = _datum(f, r, m, v)
-    if isinstance(outcome, Exception):
-        error = f"{type(outcome).__name__}: {outcome}"
+    try:
+        report = verify_correspondence(datum)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
         return {"datum": datum_to_json(datum), "verdict": "fail", "mismatch": "exception", "error": error}
-    return report_to_json(_report(datum, *outcome))
+    return report_to_json(report)
 
 
-def _temp_beside(path: str) -> tuple[int, str]:
-    """(fd, name) of a new file with a unique name in path's directory; an error names path."""
+def _temp_beside(target: str, path: str) -> tuple[int, str]:
+    """(fd, name) of a new file with a unique name in target's directory; an error names path."""
     import tempfile  # here, so that a run without a report never loads it
 
-    directory, name = os.path.split(path)
+    directory, name = os.path.split(target)
     try:
         return tempfile.mkstemp(suffix=".tmp", prefix=name + ".", dir=directory or ".")
     except OSError as exc:  # the temporary name is ours, so name the path the user gave
@@ -174,16 +171,23 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
     report_path the summary and all failures are written to a JSON file
     as well, through a new temporary file beside it that then replaces
     it, so an interrupted write leaves no truncated report and a failed
-    one leaves no temporary file.
+    one leaves no temporary file.  A symlink stays one and the report
+    replaces its target; a path to a directory, FIFO, device, socket or
+    symlink loop raises OSError before the sweep.
     """
     out = stream or sys.stdout
     if report_path is not None:
         # fail on an unwritable path now rather than after the whole sweep
         if not report_path:
             raise FileNotFoundError("report path is empty")
-        if os.path.isdir(report_path):
+        if os.path.isdir(report_path):  # these follow a symlink to its target
             raise IsADirectoryError(f"report path {report_path} is a directory")
-        fd, tmp = _temp_beside(report_path)
+        if os.path.exists(report_path) and not os.path.isfile(report_path):
+            raise OSError(f"report path {report_path} is not a regular file")
+        target = os.path.realpath(report_path)
+        if os.path.islink(target):  # realpath stops at a link that leads back to itself
+            raise OSError(f"report path {report_path} is a symlink loop")
+        fd, tmp = _temp_beside(target, report_path)
         os.close(fd)
         os.remove(tmp)
     tasks = [(f, r, m, z) for f, r, m in rng.configurations() for z in range(f * r - r + 1)]
@@ -241,7 +245,7 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
             "failures": [{**x["datum"], "mismatch": x["mismatch"]} for x in failures],
             "verdict": "pass" if not failures else "fail",
         }
-        fd, tmp = _temp_beside(report_path)
+        fd, tmp = _temp_beside(target, report_path)
         try:
             with open(fd, "w", encoding="utf-8") as fh:
                 mask = os.umask(0)
@@ -249,7 +253,7 @@ def run_verify(rng: VerifyRange, report_path: str | None = None, stream: TextIO 
                 os.chmod(tmp, 0o666 & ~mask)  # the mode open() gives a new file, not mkstemp's 0600
                 json.dump(payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-            os.replace(tmp, report_path)
+            os.replace(tmp, target)
         except BaseException:
             os.remove(tmp)
             raise

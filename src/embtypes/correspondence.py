@@ -173,36 +173,23 @@ def _member_kernel(f: int, r: int, v: Vec, direct: Vec | None) -> tuple[Vec, str
     return gaps, None if agree else "pipeline-agreement"
 
 
-def _checks(f: int, r: int, v: Vec) -> tuple[tuple[Vec, int], Vec | None, Vec, str | None]:
-    """(coords, comp, gaps, site) of the flat datum v: both kernels, then the first failing site or None.
-
-    Both routes run before a site is chosen, so an exception in either
-    comes first; then integrality, the complement identity and the
-    agreement of the two routes.  Every comparison is by rotation.
-    """
-    coords, comp, direct, site = _class_kernel(f, r, v)
-    gaps, agreement = _member_kernel(f, r, v, direct)
-    return coords, comp, gaps, site or agreement
-
-
-def _report(datum: EmbeddingDatum, coords, comp, gaps, site) -> CorrespondenceReport:
-    """The report of the outcome of _checks, with Fraction coordinates and canonical classes."""
-    from fractions import Fraction
-    nums, den = coords
-    mu = tuple(Fraction(n, den) for n in nums)
-    complement_class = None if comp is None else CyclicClass(comp)
-    return CorrespondenceReport(datum, mu, CyclicClass(gaps), complement_class, site is None, site)
-
-
 def verify_correspondence(datum: EmbeddingDatum) -> CorrespondenceReport:
     """Check the datum against its local type from every side.
 
-    The checks of _checks run in order (integrality of f * r times the
-    direct coordinates, complement identity against the flattening,
-    agreement of the two pipelines) and the first failing site is
-    recorded.  The sweep builds this report only for a failing datum.
+    Both kernels run before a site is chosen, so an exception in either
+    comes first; then the first failing check is recorded: integrality
+    of f * r times the direct coordinates, the complement identity
+    against the flattening, the agreement of the two routes, each by
+    rotation.  The sweep builds this report only for a failing datum.
     """
-    return _report(datum, *_checks(datum.f, datum.r, _vector(datum)))
+    from fractions import Fraction
+    f, r, v = datum.f, datum.r, _vector(datum)
+    (nums, den), comp, direct, site = _class_kernel(f, r, v)
+    gaps, agreement = _member_kernel(f, r, v, direct)
+    site = site or agreement
+    mu = tuple(Fraction(n, den) for n in nums)
+    complement_class = None if comp is None else CyclicClass(comp)
+    return CorrespondenceReport(datum, mu, CyclicClass(gaps), complement_class, site is None, site)
 
 
 def report_to_json(report: CorrespondenceReport) -> dict:

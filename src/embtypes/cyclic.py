@@ -121,31 +121,6 @@ def classes_equal(a: Sequence[int] | CyclicClass, b: Sequence[int] | CyclicClass
     return _rotation_of(_class_entries(a), _class_entries(b))
 
 
-def _pairs(v: Vec) -> tuple[list[int], list[int]]:
-    """Values and gaps of the pairs of a non-negative vector, from its first nonzero entry.
-
-    Only pairs_of reads it; _complement makes its own pass over v.
-    """
-    support = [i for i, e in enumerate(v) if e != 0]
-    if not support:
-        raise ValueError("zero vector has no pairs form")
-    gaps = [end - i for i, end in zip(support, support[1:] + [support[0] + len(v)])]
-    return [v[i] for i in support], gaps
-
-
-def _unfold(values: Sequence[int], gaps: Sequence[int]) -> Vec:
-    """Vector with the given values and gaps, taken as valid, starting at the first value.
-
-    Only from_pairs reads it; _complement writes its vector itself.
-    """
-    out = [0] * sum(gaps)
-    pos = 0
-    for a, b in zip(values, gaps):
-        out[pos] = a
-        pos += b
-    return tuple(out)
-
-
 def pairs_of(entries: Sequence[int] | CyclicClass) -> tuple[tuple[int, int], ...]:
     """Pairs form of the class of entries: (value, gap to the next nonzero).
 
@@ -155,7 +130,12 @@ def pairs_of(entries: Sequence[int] | CyclicClass) -> tuple[tuple[int, int], ...
     rotates the pair list, so the form, returned in its least rotation,
     only depends on the class.  An empty or zero vector has no pairs form.
     """
-    return _least_rotation(tuple(zip(*_pairs(_class_entries(entries)))))
+    v = _class_entries(entries)
+    support = [i for i, e in enumerate(v) if e != 0]
+    if not support:
+        raise ValueError("zero vector has no pairs form")
+    ends = support[1:] + [support[0] + len(v)]
+    return _least_rotation(tuple((v[i], end - i) for i, end in zip(support, ends)))
 
 
 def from_pairs(form: Iterable[Sequence[int]]) -> CyclicClass:
@@ -168,7 +148,12 @@ def from_pairs(form: Iterable[Sequence[int]]) -> CyclicClass:
     if not pairs:
         raise ValueError("pairs form must be nonempty")
     _ints(flatten(pairs), "values and gaps must be positive integers", 1)
-    return CyclicClass(_unfold(*zip(*pairs)))
+    out = [0] * sum(b for _, b in pairs)
+    pos = 0
+    for a, b in pairs:
+        out[pos] = a
+        pos += b
+    return CyclicClass(out)
 
 
 def complement(entries: Sequence[int] | CyclicClass) -> CyclicClass:

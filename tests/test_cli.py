@@ -249,6 +249,45 @@ def test_verify_report_to_unwritable_path_exits_2_before_the_sweep(tmp_path, cap
     assert path in err and ".tmp" not in err
 
 
+def test_verify_report_to_a_fifo_exits_2_before_the_sweep(tmp_path, capsys):
+    # the report would replace the FIFO with a regular file
+    path = tmp_path / "sweep.fifo"
+    os.mkfifo(path)
+    code, out, err = run_cli(
+        capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1", "--report", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: report path {path} is not a regular file\n"
+    assert path.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["sweep.fifo"]
+
+
+def test_verify_report_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    target = tmp_path / "reports" / "sweep.json"
+    target.parent.mkdir()
+    target.write_text("previous report\n")
+    link = tmp_path / "sweep.json"
+    link.symlink_to(target)
+    code, _, _ = run_cli(
+        capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1", "--report", str(link),
+    )
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert json.loads(target.read_text())["verdict"] == "pass"
+    assert [p.name for p in target.parent.iterdir()] == ["sweep.json"]
+
+
+def test_verify_report_to_a_symlink_loop_exits_2_before_the_sweep(tmp_path, capsys):
+    path, other = tmp_path / "sweep.json", tmp_path / "other.json"
+    path.symlink_to(other)
+    other.symlink_to(path)
+    code, out, err = run_cli(
+        capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1", "--report", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: report path {path} is a symlink loop\n"
+    assert path.is_symlink() and other.is_symlink() and len(list(tmp_path.iterdir())) == 2
+
+
 def test_verify_report_to_an_empty_path_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(
@@ -594,6 +633,21 @@ def _site_id(name, mutate, site, *_):
     return f"{name.lstrip('_')}-{mutate.__name__}-{site}"
 
 
+# SHA-256 of the stdout and then the --report bytes of each sweep of
+# test_verifier_reports_each_mismatch_site, the same at every job count
+MISMATCH_DIGESTS = {
+    "local_type_direct-_off_direct-integrality": "5154d192a37addca3d869b02ccd859881e31759a15a4ed40428d8ad0597b186e",
+    "local_type_direct-_extra_unit-complement-identity":
+        "d1ab545996124418cd4a93d28df458be197a4c6c8daa7d576d685ff97a0f4f69",
+    "complement-_off_complement-complement-identity":
+        "384fb72b5e9feff6fd886edb870b8c207f3fedb3099fcb13d80a385bc3d4255c",
+    "local_type_geometric-_off_geometric-pipeline-agreement":
+        "5400cc5c9cde4375cef8fafee207b8b36862770fa8cb48848b57fb0eda50baac",
+    "local_type_geometric-_raising-exception": "205380777b4cd3aab1c149cd6a9d5a1eed69e6188d799b54da5ac846f16c1ef5",
+    "lifted_barycenter-_off_step-pipeline-agreement": "6933943d0878dd4a57b68210e5905521d0efe374f81e6611001f5c42ee3f0cdc",
+}
+
+
 # At jobs 2 the failures come back from forked pool workers, which inherit
 # the monkeypatched route; only those cases carry the job count in their id.
 @pytest.mark.parametrize(
@@ -627,6 +681,26 @@ def test_verifier_reports_each_mismatch_site(tmp_path, capsys, monkeypatch, name
     assert payload["failures"][0] == {**first["datum"], "mismatch": site}
     assert [failure["mismatch"] for failure in payload["failures"]] == [site] * fail
     assert all(set(failure) == {"f", "r", "m", "rows", "mismatch"} for failure in payload["failures"])
+    digest = hashlib.sha256(out.encode() + path.read_bytes()).hexdigest()
+    assert digest == MISMATCH_DIGESTS[_site_id(name, mutate, site)]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_error_while_encoding_a_failure_is_a_crash(capsys, monkeypatch, jobs):
+    # only verify_correspondence's own errors become an exception failure;
+    # forked pool workers inherit both stubs
+    name, mutate, _, _ = MISMATCH_SITES[0]
+    monkeypatch.setattr(correspondence, name, mutate(getattr(correspondence, name)))
+
+    def unencodable(report):
+        raise RuntimeError("cannot encode")
+
+    monkeypatch.setattr(cli, "report_to_json", unencodable)
+    code, out, err = run_cli(
+        capsys, "verify", "--f-max", "2", "--r-max", "1", "--m-max", "2", "--fr-max", "2", "--jobs", jobs,
+    )
+    assert code == 3 and "fail=" not in out
+    assert err.splitlines()[-1] == "error: internal: RuntimeError: cannot encode"
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ from embtypes.cyclic import CyclicClass, canonical, flatten, rotate
 from embtypes import cli, cyclic
 from embtypes.correspondence import (
     CorrespondenceReport,
-    _checks,
     _class_kernel,
     _lifted_barycenter,
     _local_type_direct,
@@ -464,7 +463,7 @@ def test_the_checks_of_a_datum_build_no_canonical_form():
     # the sweep compares flat vectors by rotation only, so a passing datum
     # needs no canonical class, no report, no rows and no Fraction;
     # cli._failure builds them for a failing one
-    for fn in (_class_kernel, _member_kernel, _checks, _necklaces):
+    for fn in (_class_kernel, _member_kernel, _necklaces):
         assert not _names_reached(fn) & (CANONICAL | FLAT), fn.__name__
     shard_loop = _names_reached(cli._verify_shard, skip={cli._failure})
     assert "_failure" in shard_loop and not shard_loop & (CANONICAL | FLAT)
@@ -482,16 +481,16 @@ def test_the_complement_core_shares_no_code_with_the_pairs_form():
     # so checking _complement against the swap of pairs_of compares two
     # implementations, not one with itself
     reached = _names_reached(cyclic._complement)
-    assert not reached & {"_pairs", "_unfold"}
+    assert not reached & {"pairs_of", "from_pairs"}
 
 
 def test_the_shard_loop_validates_nothing():
     # the loop builds every vector, level and degree a datum's checks read,
     # so the per-datum path re-checks none of them; it calls the class kernel
-    # on each necklace, the member kernel on each rotation and _checks on a
-    # failing member itself; the cached _lifted_barycenter checks its chain
-    # and d on a cache miss only, once per key
+    # on each necklace, the member kernel on each rotation and _failure, which
+    # reports through verify_correspondence, on a failing member; the cached
+    # _lifted_barycenter checks its chain and d on a cache miss only, once per key
     reached = _names_reached(cli._verify_shard, skip={cli._failure, _lifted_barycenter})
-    loop = {"_necklaces", "_class_kernel", "_member_kernel", "_checks", "_failure"}
+    loop = {"_necklaces", "_class_kernel", "_member_kernel", "_failure"}
     assert loop | DIRECT_ROUTE | GEOMETRIC_ROUTE <= reached
     assert not reached & VALIDATION
