@@ -128,12 +128,8 @@ class ApartmentPoint(NamedTuple):
 
 def _point(d: int, num: Sequence[int], den: int) -> ApartmentPoint:
     """Point num / den (den >= 1, num not empty), shifted so alpha_m = 0, in least terms."""
-    last = num[-1]
-    if last:
-        num = [n - last for n in num]
+    num = [n - num[-1] for n in num]
     g = gcd(den, *num)
-    if g == 1:
-        return ApartmentPoint(d, tuple(num), den)
     return ApartmentPoint(d, tuple(n // g for n in num), den // g)
 
 

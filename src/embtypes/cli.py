@@ -55,10 +55,8 @@ class VerifyRange(_Bounds):
         return cls(*iterable)
 
     def configurations(self):
-        for f in range(1, self.f_max + 1):
-            for r in range(1, self.r_max + 1):
-                if f * r > self.fr_max:
-                    continue
+        for f in range(1, min(self.f_max, self.fr_max) + 1):
+            for r in range(1, min(self.r_max, self.fr_max // f) + 1):
                 for m in range(1, self.m_max + 1):
                     yield f, r, m
 
@@ -111,13 +109,11 @@ def _verify_shard(task):
             if k and u <= v:
                 message = f"yields {v} with period {p}, whose rotation by {k} is {u}, not above it"
                 raise RuntimeError(f"f={f} r={r} m={m}: shard {z} {message}")
-            if site is None:
-                try:
-                    agreement = _member_kernel(f, r, u, direct)[1]
-                except Exception:
-                    agreement = "exception"
-                if agreement is None:
+            try:
+                if site is None and _member_kernel(f, r, u, direct)[1] is None:
                     continue
+            except Exception:  # reported by _failure, as a failing member is
+                pass
             failure = _failure(f, r, m, u)
             if failure["verdict"] == "pass":
                 message = f"{u} passes its own checks but fails with its class {v}"
@@ -138,12 +134,11 @@ def _failure(f, r, m, v) -> dict:
 
 
 def _temp_beside(target: str, path: str) -> tuple[int, str]:
-    """(fd, name) of a new file with a unique name in target's directory; an error names path."""
+    """(fd, name) of a new file in target's directory, named by mkstemp alone; an error names path."""
     import tempfile  # here, so that a run without a report never loads it
 
-    directory, name = os.path.split(target)
     try:
-        return tempfile.mkstemp(suffix=".tmp", prefix=name + ".", dir=directory or ".")
+        return tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(target))
     except OSError as exc:  # the temporary name is ours, so name the path the user gave
         raise OSError(exc.errno, exc.strerror, path) from None
 

@@ -35,12 +35,14 @@ def enumerate_data(f: int, r: int, m: int) -> Iterator[EmbeddingDatum]:
     as its last part the slack s of the last row.  The last row puts a
     unit in each column the prefix leaves empty (need), so it is need
     plus a weak composition of s - sum(need) into r parts, and a prefix
-    whose need passes s gives nothing.  With one row the prefix is empty
-    and every column needs a unit, so nothing comes when r > m.  Each
-    prefix comes once, ascending, and adding the fixed vector need keeps
-    the order of the last rows, so the vectors come out ascending.
+    whose need passes s gives nothing.  Every column needs a unit, so
+    when r > m nothing comes and no prefix is walked.  Each prefix comes
+    once, ascending, and adding the fixed vector need keeps the order of
+    the last rows, so the vectors come out ascending.
     """
     _ints((f, r, m), "f, r and m must be positive integers", 1)
+    if r > m:
+        return
     for comp in _weak_compositions(m, (f - 1) * r + 1):
         prefix = comp[:-1]
         need = [0 if any(prefix[j::r]) else 1 for j in range(r)]

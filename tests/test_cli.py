@@ -7,6 +7,7 @@ import contextlib
 import fractions
 import hashlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -247,6 +248,17 @@ def test_verify_report_to_unwritable_path_exits_2_before_the_sweep(tmp_path, cap
     assert code == 2 and out == ""
     assert err.startswith("error:")
     assert path in err and ".tmp" not in err
+
+
+def test_verify_report_takes_the_longest_name_the_directory_allows(tmp_path, capsys):
+    # the temporary file's name used to extend the report's, which then passed the limit
+    path = tmp_path / ("r" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+    code, _, _ = run_cli(
+        capsys, "verify", "--f-max", "1", "--r-max", "1", "--m-max", "1", "--fr-max", "1", "--report", str(path),
+    )
+    assert code == 0
+    assert json.loads(path.read_text())["verdict"] == "pass"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_verify_report_to_a_fifo_exits_2_before_the_sweep(tmp_path, capsys):
@@ -500,8 +512,8 @@ def test_the_fr8_slice_prints_its_pinned_summary():
 
 @pytest.mark.slow
 def test_the_extended_range_prints_its_pinned_summary():
-    # about two minutes on two workers; run_verify checks each
-    # configuration's count against count_data on the way
+    # about 50 s on two workers; run_verify checks each configuration's
+    # counts against _class_count and count_data on the way
     buf = io.StringIO()
     assert run_verify(VerifyRange(8, 8, 9, 16, jobs=2), stream=buf) == 0
     assert buf.getvalue().endswith("\ntotal data=5993644 fail=0\n")
@@ -921,6 +933,35 @@ def test_run_verify_accepts_a_stream():
     buf = io.StringIO()
     assert run_verify(VerifyRange(1, 1, 2, 1), stream=buf) == 0
     assert buf.getvalue().endswith("total data=2 fail=0\n")
+
+
+@pytest.mark.parametrize("m_max", [1, 2])
+def test_configurations_are_the_filter_over_the_whole_box(m_max):
+    for f_max, r_max, fr_max in itertools.product(range(1, 13), repeat=3):
+        box = itertools.product(range(1, f_max + 1), range(1, r_max + 1), range(1, m_max + 1))
+        expected = [(f, r, m) for f, r, m in box if f * r <= fr_max]
+        assert list(VerifyRange(f_max, r_max, m_max, fr_max).configurations()) == expected
+
+
+def _run_module(*argv):
+    """(exit code, stdout) of python -m embtypes argv; a run past the timeout fails the test."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "embtypes", *argv], capture_output=True, text=True, env=env, timeout=30,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_verify_walks_only_the_configurations_fr_max_admits():
+    # with f and r bounded only by fr_max, the sweep used to scan the whole f_max x r_max box
+    huge = _run_module("verify", "--f-max", "1000000000", "--r-max", "1000000000", "--m-max", "3", "--fr-max", "2")
+    small = _run_module("verify", "--f-max", "2", "--r-max", "2", "--m-max", "3", "--fr-max", "2")
+    assert huge == small and small[0] == 0
+
+
+def test_enumerate_with_more_columns_than_units_prints_nothing_at_once():
+    # every column needs a unit, so no prefix needs walking
+    assert _run_module("enumerate", "--f", "2", "--r", "100000", "--m", "1") == (0, "")
 
 
 def test_verify_range_rejects_bad_bounds():
